@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos chaos-mp schedules mp conformance serving explore bench bench-fast bench-baseline shard-bench profile experiments experiments-full examples clean
+.PHONY: install test chaos chaos-mp schedules mp conformance serving explore bench bench-fast bench-baseline profile experiments experiments-full examples clean
 
 install:
 	pip install -e .
@@ -63,15 +63,6 @@ bench-fast:
 bench-baseline:
 	$(PYTHON) -m repro sweep --refresh --no-cache \
 	    --out benchmarks/BENCH_baseline.json
-
-# Sharded-simulator measurements alone: the wall-vs-shards speedup
-# series and the 2112-PE jumbo smoke (docs/sharding.md).  Walls are
-# host-dependent; the auto transport forks only when multiple cores
-# exist (on a single core it elides the IPC and runs serial — the
-# transport/host_cpus columns record what actually ran).
-shard-bench:
-	$(PYTHON) -m repro sweep --no-cache \
-	    --scenarios fig7_sharded_s4,fig7_jumbo
 
 # cProfile top-20 for the two throughput-critical scenarios
 # (see docs/performance.md, "Profiling the hot paths").

@@ -113,7 +113,7 @@ def run_sweep(factory: WorkloadFactory, cfg: SweepConfig | None = None) -> list[
 #: baseline carries them; see ``check_regressions``).
 BENCH_SCENARIOS: tuple[str, ...] = (
     "fig2", "fig34", "fig5", "fig6", "fig7", "fig8", "protocols",
-    "fig7_sharded_s4", "fig7_jumbo", "serving_sws", "serving_sdc",
+    "fig7_jumbo", "serving_sws", "serving_sdc",
 )
 
 #: Multiprocess-substrate scenarios measured alongside the bench set:
@@ -239,12 +239,9 @@ def _json_safe(value):
 BENCH_REPS = 3
 
 #: Scenarios measured once instead of :data:`BENCH_REPS` times: the
-#: sharded scenarios are multi-second wall-clock measurements (the
-#: speedup series forks shard processes; the jumbo row simulates 2112
-#: PEs), so best-of-3 would triple the sweep's dominant cost for noise
-#: reduction those rows do not need.
+#: jumbo row simulates 2112 PEs for several seconds, so best-of-3 would
+#: triple the sweep's dominant cost for noise reduction it does not need.
 BENCH_REPS_OVERRIDE: dict[str, int] = {
-    "fig7_sharded_s4": 1,
     "fig7_jumbo": 1,
     # Serving rows are open-system single runs; their payload is a change
     # detector (deterministic checksum) more than a timing row, so one
@@ -577,20 +574,6 @@ def bench_report(outcome: SweepOutcome) -> dict:
             "events_per_sec": round(meta["events_per_sec"], 1),
             "cached": bool(rec.get("cached")),
         }
-        # Sharded scenarios carry exchange counters in their rows;
-        # surface the totals (and the per-row effective transports) at
-        # the scenario level so the coordination cost is a first-class
-        # bench observable, not buried in a table.
-        payload = rec.get("payload") or {}
-        headers = payload.get("headers")
-        if headers and "rounds" in headers:
-            idx = {h: i for i, h in enumerate(headers)}
-            rows = payload.get("rows", [])
-            entry["rounds"] = sum(r[idx["rounds"]] for r in rows)
-            if "xbytes" in idx:
-                entry["exchange_bytes"] = sum(r[idx["xbytes"]] for r in rows)
-            if "transport" in idx:
-                entry["transports"] = [r[idx["transport"]] for r in rows]
         if spec["kind"] == "mp":
             # events == completed tasks here, so the gate's events/sec
             # reads as tasks/sec; mp scenarios gate like any other once

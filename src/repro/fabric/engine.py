@@ -113,13 +113,6 @@ def reset_event_tally() -> None:
     _event_tally = 0
 
 
-def add_event_tally(events: int) -> None:
-    """Credit events executed outside this process (forked shard
-    children report their engines' tallies back to the coordinator)."""
-    global _event_tally
-    _event_tally += events
-
-
 class CalendarQueue:
     """Bucketed event queue with heapq-identical dequeue order.
 
@@ -225,22 +218,6 @@ class CalendarQueue:
         while True:
             cur = self._cur
             if cur is not None:
-                keys = self._keys
-                if keys and keys[0] < self._cur_key:
-                    # Windowed stepping (Engine.run_window) can park the
-                    # cursor on a future bucket; a later insert below that
-                    # bucket's key range would then be hidden behind it.
-                    # Shelve the unconsumed tail and re-promote in order.
-                    tail = cur[self._cur_i:]
-                    if tail:
-                        b = self._buckets.get(self._cur_key)
-                        if b is None:
-                            self._buckets[self._cur_key] = tail
-                            heappush(keys, self._cur_key)
-                        else:
-                            b.extend(tail)
-                    self._cur = None
-                    continue
                 i = self._cur_i
                 if i >= self.TRIM:
                     del cur[:i]
@@ -417,18 +394,6 @@ class Engine:
         #: Callbacks invoked after every executed event (invariant
         #: oracles).  Must not mutate simulation state.
         self.observers: list[Callable[[], None]] = []
-        #: Active window bound while :meth:`run_window` is executing
-        #: (None outside a window).  Event handlers may *lower* it via
-        #: :meth:`clamp_window` — the sharded router clamps when a
-        #: cross-shard fetch parks (its response may arrive as early as
-        #: ``request_arrival + W``) and the shard barrier clamps when
-        #: every local PE is parked (the release tick is not yet known).
-        self._window_limit: int | None = None
-        #: Effective bound of the last :meth:`run_window` call after any
-        #: in-window clamps: every event with ``when < window_ran_to``
-        #: has been executed.  The shard coordinator reads this to know
-        #: how far the shard actually advanced.
-        self.window_ran_to = 0
 
     # ------------------------------------------------------------------
     # clock & event queue
@@ -655,87 +620,10 @@ class Engine:
         self._live -= 1
 
     # ------------------------------------------------------------------
-    # windowed execution (sharded conservative-parallel mode)
-    # ------------------------------------------------------------------
-    @property
-    def live(self) -> int:
-        """Number of spawned processes that have not finished."""
-        return self._live
-
-    def next_event_ticks(self) -> int | None:
-        """Tick of the earliest pending live event, or None when empty.
-
-        The shard coordinator polls this between lock-step windows to
-        compute the next safe window bound (YAWNS-style: the global
-        minimum next-event time plus the latency model's lookahead).
-        """
-        e = self._q.peek()
-        return None if e is None else e[0]
-
-    def run_window(self, limit_ticks: int) -> int:
-        """Execute every pending event with ``when < limit_ticks``.
-
-        Returns the number of events executed.  Unlike :meth:`run`, an
-        empty queue is *not* a deadlock here — a shard may simply have
-        nothing to do this window while a cross-shard message is in
-        flight toward it; the coordinator owns global deadlock detection.
-        The clock is left at the last executed event (never advanced to
-        the bound), so message insertions at ticks ``>= limit_ticks``
-        are always legal afterwards.
-
-        Window mode supports observers (per-shard oracles) but not
-        schedule exploration: sharded contexts reject schedulers up
-        front.
-
-        The bound is dynamic: an event handler may lower it mid-window
-        through :meth:`clamp_window` (never raise it).  The effective
-        bound at exit is published as :attr:`window_ran_to` — the tick
-        below which every event has now been executed.
-        """
-        global _event_tally
-        observers = self.observers
-        q = self._q
-        events = 0
-        self._window_limit = limit_ticks
-        try:
-            while True:
-                e = q.peek()
-                if e is None or e[0] >= self._window_limit:
-                    break
-                q._cur_i += 1
-                q._len -= 1
-                fn = e[2]
-                e[2] = None
-                self._now = e[0]
-                events += 1
-                fn()
-                if observers:
-                    for obs in observers:
-                        obs()
-        finally:
-            self.window_ran_to = self._window_limit
-            self._window_limit = None
-            self.events_processed += events
-            _event_tally += events
-        return events
-
-    def clamp_window(self, limit_ticks: int) -> None:
-        """Lower the active :meth:`run_window` bound (no-op outside one).
-
-        Events execute in tick order, so by the time a handler running
-        at tick ``t`` clamps to ``limit_ticks >= t`` no event beyond the
-        new bound has executed — lowering is always sound; raising is
-        never allowed.
-        """
-        wl = self._window_limit
-        if wl is not None and limit_ticks < wl:
-            self._window_limit = limit_ticks
-
-    # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None) -> float:
-        """Execute events until the queue drains (or ``until`` is reached).
+    def run(self) -> float:
+        """Execute events until the queue drains.
 
         Returns the final virtual time.  Raises :class:`DeadlockError` if
         processes remain unfinished when the event queue empties — that
@@ -748,63 +636,44 @@ class Engine:
         stats, no per-event instrumentation.
         """
         if self.scheduler is not None:
-            return self._run_scheduled(until)
+            return self._run_scheduled()
         if self.observers:
-            return self._run_observed(until)
+            return self._run_observed()
         global _event_tally
         q = self._q
-        until_ticks = None if until is None else round(until * TICKS_PER_SECOND)
         events = 0
         try:
-            if until_ticks is None:
-                # Bare fast path: walk the current bucket by cursor with
-                # the queue internals inlined.  ``q._cur`` keeps its
-                # identity across callbacks (insertions insort in place,
-                # compaction rewrites in place), so only the cursor and
-                # length are re-read per iteration.
-                while True:
-                    cur = q._cur
-                    if cur is None or q._cur_i >= len(cur):
-                        if q._promote() is None:
-                            break
-                        continue
-                    i = q._cur_i
-                    if i >= q.TRIM:
-                        del cur[:i]
-                        q._cur_i = i = 0
-                    n = len(cur)
-                    while i < n:
-                        e = cur[i]
-                        i += 1
-                        fn = e[2]
-                        if fn is None:  # tombstone (cancelled timer)
-                            q._tombstones -= 1
-                            continue
-                        e[2] = None  # consumed: a late cancel() is a no-op
-                        q._cur_i = i  # publish before fn() may insort
-                        q._len -= 1
-                        self._now = e[0]
-                        events += 1
-                        fn()
-                        n = len(cur)  # fn may have inserted behind n
-                    q._cur_i = i
-            else:
-                while True:
-                    e = q.peek()
-                    if e is None:
-                        if self._live > 0:
-                            raise DeadlockError(self._deadlock_report())
-                        return self._now / TICKS_PER_SECOND
-                    if e[0] > until_ticks:
-                        self._now = until_ticks
-                        return self._now / TICKS_PER_SECOND
-                    q._cur_i += 1
-                    q._len -= 1
+            # Bare fast path: walk the current bucket by cursor with
+            # the queue internals inlined.  ``q._cur`` keeps its
+            # identity across callbacks (insertions insort in place,
+            # compaction rewrites in place), so only the cursor and
+            # length are re-read per iteration.
+            while True:
+                cur = q._cur
+                if cur is None or q._cur_i >= len(cur):
+                    if q._promote() is None:
+                        break
+                    continue
+                i = q._cur_i
+                if i >= q.TRIM:
+                    del cur[:i]
+                    q._cur_i = i = 0
+                n = len(cur)
+                while i < n:
+                    e = cur[i]
+                    i += 1
                     fn = e[2]
-                    e[2] = None
+                    if fn is None:  # tombstone (cancelled timer)
+                        q._tombstones -= 1
+                        continue
+                    e[2] = None  # consumed: a late cancel() is a no-op
+                    q._cur_i = i  # publish before fn() may insort
+                    q._len -= 1
                     self._now = e[0]
                     events += 1
                     fn()
+                    n = len(cur)  # fn may have inserted behind n
+                q._cur_i = i
         finally:
             self.events_processed += events
             _event_tally += events
@@ -812,21 +681,17 @@ class Engine:
             raise DeadlockError(self._deadlock_report())
         return self._now / TICKS_PER_SECOND
 
-    def _run_observed(self, until: float | None) -> float:
+    def _run_observed(self) -> float:
         """Default-order loop with per-event observer notification."""
         global _event_tally
         observers = self.observers
         q = self._q
-        until_ticks = None if until is None else round(until * TICKS_PER_SECOND)
         events = 0
         try:
             while True:
                 e = q.peek()
                 if e is None:
                     break
-                if until_ticks is not None and e[0] > until_ticks:
-                    self._now = until_ticks
-                    return self._now / TICKS_PER_SECOND
                 q._cur_i += 1
                 q._len -= 1
                 fn = e[2]
@@ -844,7 +709,7 @@ class Engine:
             raise DeadlockError(self._deadlock_report())
         return self._now / TICKS_PER_SECOND
 
-    def _run_scheduled(self, until: float | None) -> float:
+    def _run_scheduled(self) -> float:
         """Exploration loop: the scheduler breaks same-timestamp ties.
 
         Each iteration gathers every live event sharing the minimal
@@ -861,7 +726,6 @@ class Engine:
         sched = self.scheduler
         observers = self.observers
         q = self._q
-        until_ticks = None if until is None else round(until * TICKS_PER_SECOND)
         events = 0
         try:
             while True:
@@ -869,9 +733,6 @@ class Engine:
                 if first is None:
                     break
                 when = first[0]
-                if until_ticks is not None and when > until_ticks:
-                    self._now = until_ticks
-                    return self._now / TICKS_PER_SECOND
                 cur = q._cur
                 i = q._cur_i
                 n = len(cur)

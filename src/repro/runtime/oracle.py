@@ -56,24 +56,13 @@ class PoolOracle:
     every N-th event for long runs; the default checks every event.
     """
 
-    def __init__(self, pool: "TaskPool", stride: int = 1,
-                 ranks=None) -> None:
+    def __init__(self, pool: "TaskPool", stride: int = 1) -> None:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         self.pool = pool
         self.stride = stride
-        # ``ranks`` restricts the oracle to one shard's PEs: remote-shard
-        # heap rows are stale replicas there, so structural checks only
-        # see authoritative state, and the cross-PE conservation checks
-        # are deferred to the merged end-of-run pass
-        # (:func:`check_merged_conservation`).
-        self._global = ranks is None
-        if self._global:
-            self.workers = pool.workers
-        else:
-            rankset = set(ranks)
-            self.workers = [w for w in pool.workers if w.rank in rankset]
-        self.queues = [w.driver.queue for w in self.workers]
+        self.queues = [w.driver.queue for w in pool.workers]
+        self.workers = pool.workers
         # Semantics contract: pools built outside the protocol registry
         # (or bare test harnesses) default to strict exactly-once.
         protocol = getattr(pool, "protocol", None)
@@ -102,15 +91,13 @@ class PoolOracle:
             q.oracle_check()
             self._check_comp_transitions(q)
             self._check_asteals_monotone(q)
-        if faults is None and self.exactly_once and self._global:
+        if faults is None and self.exactly_once:
             self._check_conservation()
         self.checks_passed += 1
 
     def check_final(self) -> None:
         """End-of-run books: conservation per the semantics contract,
         drained queues."""
-        if not self._global:
-            return  # sharded runs balance via check_merged_conservation
         if self.pool.ctx.faults is not None:
             return  # abandoned steals legitimately break conservation
         spawned = sum(w.stats.tasks_spawned for w in self.workers)
@@ -221,18 +208,6 @@ class PoolOracle:
             return ("v1", q.publications), v.asteals
         return None
 
-    def shard_books(self) -> dict:
-        """This shard's contribution to the merged conservation pass."""
-        return {
-            "spawned": sum(w.stats.tasks_spawned for w in self.workers),
-            "executed": sum(w.stats.tasks_executed for w in self.workers),
-            "dups": sum(w.driver.spawn_credit for w in self.workers),
-            "resident": sum(
-                w.driver.local_count + w.driver.stealable_remaining
-                for w in self.workers
-            ),
-        }
-
     def _check_conservation(self) -> None:
         """Resident tasks can never exceed spawned - executed."""
         spawned = sum(w.stats.tasks_spawned for w in self.workers)
@@ -288,40 +263,4 @@ def check_serving_conservation(books: dict) -> None:
             f"open-system books unbalanced: {internal} internal spawns + "
             f"{emitted} arrivals != {executed} executed + {resident} "
             f"resident + {shed} shed",
-        )
-
-
-def check_merged_conservation(books: list[dict], exactly_once: bool) -> None:
-    """Merged end-of-run conservation over every shard of a sharded run.
-
-    Each entry of ``books`` is one shard's :meth:`PoolOracle.shard_books`
-    (or an equivalent dict).  The same contract as
-    :meth:`PoolOracle.check_final`, applied to the job-wide sums — a task
-    stolen across a shard boundary counts as spawned on one shard and
-    executed on another, so only the merged books can balance.
-    """
-    spawned = sum(b["spawned"] for b in books)
-    executed = sum(b["executed"] for b in books)
-    dups = sum(b["dups"] for b in books)
-    resident = sum(b["resident"] for b in books)
-    if exactly_once:
-        if spawned != executed:
-            raise OracleViolation(
-                "conservation-final",
-                f"{spawned} tasks spawned but {executed} executed across "
-                f"{len(books)} shard(s) "
-                f"({spawned - executed} lost or duplicated)",
-            )
-    elif spawned + dups != executed:
-        raise OracleViolation(
-            "conservation-final",
-            f"{spawned} tasks spawned + {dups} duplicate handouts but "
-            f"{executed} executed across {len(books)} shard(s) "
-            f"({spawned + dups - executed} lost or unaccounted)",
-        )
-    if resident:
-        raise OracleViolation(
-            "drain-final",
-            f"{resident} task(s) resident in queues at termination "
-            f"across {len(books)} shard(s)",
         )

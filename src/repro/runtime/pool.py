@@ -46,24 +46,6 @@ from .worker import QueueDriver, Worker, WorkerConfig
 IMPLEMENTATIONS = ("sws", "sws-v1", "sdc")
 
 
-def resolved_latency(
-    impl: str,
-    latency: LatencyModel = EDR_INFINIBAND,
-    topology: Topology | None = None,
-) -> LatencyModel:
-    """The latency model a pool with these arguments will actually use.
-
-    Mirrors :class:`TaskPool`'s tiered-protocol defaulting (a tiered
-    protocol with the stock EDR preset and no explicit topology swaps in
-    ``TIERED_EDR``) so the sharded coordinator can derive the window
-    width before any shard pool exists.
-    """
-    protocol = get_protocol(impl)
-    if topology is None and protocol.tiered and latency is EDR_INFINIBAND:
-        return TIERED_EDR
-    return latency
-
-
 class TaskPool:
     """A complete simulated work-stealing job."""
 
@@ -89,7 +71,6 @@ class TaskPool:
         scheduler: Scheduler | str | None = None,
         oracle: bool | PoolOracle = False,
         topology: Topology | None = None,
-        shard=None,
     ) -> None:
         try:
             protocol = get_protocol(impl)
@@ -116,9 +97,6 @@ class TaskPool:
             if latency is EDR_INFINIBAND:
                 latency = TIERED_EDR
         self.topology_override = topology
-        #: ShardBinding in sharded runs (this pool builds the full job but
-        #: only runs its shard's PEs); None for the classic single engine.
-        self.shard = shard
 
         faulty = fault_plan is not None and fault_plan.active
         if faulty:
@@ -163,7 +141,6 @@ class TaskPool:
             op_timeout=op_timeout,
             scheduler=scheduler,
             topology=topology,
-            shard=shard,
         )
         self.queue_system = protocol.queue_system(self.ctx, self.queue_config)
         if termination == "ring":
@@ -239,13 +216,8 @@ class TaskPool:
             )
         if isinstance(oracle, PoolOracle):
             self.oracle: PoolOracle | None = oracle
-        elif oracle:
-            # A sharded pool's oracle only watches the PEs it runs:
-            # remote-shard heap rows are stale replicas here.
-            local = None if shard is None else shard.plan.pes_of(shard.shard_id)
-            self.oracle = PoolOracle(self, ranks=local)
         else:
-            self.oracle = None
+            self.oracle = PoolOracle(self) if oracle else None
         if self.oracle is not None:
             self.ctx.engine.observers.append(self.oracle.check)
         self._ran = False
@@ -261,35 +233,17 @@ class TaskPool:
         for i, t in enumerate(tasks):
             self.workers[i % self.npes].seed([t])
 
-    def local_ranks(self) -> range:
-        """PEs this pool actually runs: all of them, or its shard's block."""
-        if self.shard is None:
-            return range(self.npes)
-        return self.shard.plan.pes_of(self.shard.shard_id)
-
-    def start_workers(self) -> dict:
-        """Spawn this pool's workers without running the engine.
-
-        The classic path (:meth:`run`) spawns and runs in one call; the
-        sharded window loop needs spawn and stepping decoupled — and a
-        sharded pool spawns only the PEs its shard owns.
-        """
+    def run(self) -> RunStats:
+        """Execute to global termination; returns aggregated statistics."""
         if self._ran:
             raise RuntimeError("pool already ran")
         self._ran = True
         procs_by_pe = {}
-        for rank in self.local_ranks():
-            w = self.workers[rank]
-            procs_by_pe[rank] = self.ctx.engine.spawn(w.run(), name=f"pe{rank}")
+        for w in self.workers:
+            procs_by_pe[w.rank] = self.ctx.engine.spawn(w.run(), name=f"pe{w.rank}")
         faults = self.ctx.faults
         if faults is not None:
             faults.schedule_failures(self.ctx.engine, procs_by_pe)
-        return procs_by_pe
-
-    def run(self) -> RunStats:
-        """Execute to global termination; returns aggregated statistics."""
-        self.start_workers()
-        faults = self.ctx.faults
         end = self.ctx.run()
         for w in self.workers:
             if faults is not None and faults.is_dead(w.rank, end):
@@ -308,41 +262,6 @@ class TaskPool:
             comm=self.ctx.metrics.snapshot(),
             faults=faults.snapshot() if faults is not None else {},
         )
-
-    def shard_result(self) -> dict:
-        """Collect this shard's end-of-run payload (picklable).
-
-        Called after the window loop completes: checks the local queues'
-        structural invariants, then packages the local workers' stats,
-        metrics and conservation books for the coordinator to merge
-        (:mod:`repro.runtime.sharded`).
-        """
-        ranks = list(self.local_ranks())
-        for r in ranks:
-            w = self.workers[r]
-            w.driver.queue.invariants()
-            w.stats.locks_recovered = getattr(w.driver.queue, "locks_recovered", 0)
-        books = {
-            "spawned": sum(self.workers[r].stats.tasks_spawned for r in ranks),
-            "executed": sum(self.workers[r].stats.tasks_executed for r in ranks),
-            "dups": sum(self.workers[r].driver.spawn_credit for r in ranks),
-            "resident": sum(
-                self.workers[r].driver.local_count
-                + self.workers[r].driver.stealable_remaining
-                for r in ranks
-            ),
-        }
-        return {
-            "end": self.ctx.engine.now,
-            "ranks": ranks,
-            "workers": [self.workers[r].stats for r in ranks],
-            "comm": self.ctx.metrics.snapshot(),
-            "books": books,
-            "events": self.ctx.engine.events_processed,
-            "oracle_checks": (
-                self.oracle.checks_passed if self.oracle is not None else 0
-            ),
-        }
 
 
 def run_pool(

@@ -163,8 +163,12 @@ def partition_checksum(ids) -> int:
     return acc
 
 
-def protocol_fabric(protocol_name: str) -> dict:
-    """One protocol's golden scenario on the discrete-event fabric."""
+def protocol_fabric(protocol_name: str, npes: int = 2) -> dict:
+    """One protocol's golden scenario on the discrete-event fabric.
+
+    The victim is PE 0 and the thief the last of ``npes`` PEs, so a
+    wider job moves the steal to a farther rank of the topology.
+    """
     from repro.core.config import QueueConfig
     from repro.core.results import StealStatus
     from repro.fabric.engine import Delay
@@ -175,10 +179,10 @@ def protocol_fabric(protocol_name: str) -> dict:
 
     protocol = get_protocol(protocol_name)
     cfg = QueueConfig(qsize=512, task_size=16)
-    ctx = ShmemCtx(2, latency=TEST_LAT)
+    ctx = ShmemCtx(npes, latency=TEST_LAT)
     system = protocol.queue_system(ctx, cfg)
     victim_q = system.handle(0)
-    thief_q = system.handle(1)
+    thief_q = system.handle(npes - 1)
     volumes: list[int] = []
     stolen: list[int] = []
 

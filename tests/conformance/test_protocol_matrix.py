@@ -28,6 +28,7 @@ from .backends import (
     NTOTAL,
     PROTOCOL_BACKENDS,
     partition_checksum,
+    protocol_fabric,
 )
 
 pytestmark = [pytest.mark.conformance, pytest.mark.timeout(120)]
@@ -35,6 +36,12 @@ pytestmark = [pytest.mark.conformance, pytest.mark.timeout(120)]
 EXACTLY_ONCE_PROTOCOLS = ("sws", "sdc", "localized")
 AT_LEAST_ONCE_PROTOCOLS = ("ff-mult",)
 SEQUENTIAL_ORACLE = frozenset(range(NTOTAL))
+#: The three substrates, plus the fabric with the thief on the last PE
+#: of a 4-PE job: the steal's rank distance must not change a thing.
+BACKENDS = {
+    **PROTOCOL_BACKENDS,
+    "fabric-4pe": lambda proto: protocol_fabric(proto, npes=4),
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +50,7 @@ def matrix():
     return {
         (proto, backend): runner(proto)
         for proto in MATRIX_PROTOCOLS
-        for backend, runner in PROTOCOL_BACKENDS.items()
+        for backend, runner in BACKENDS.items()
     }
 
 
@@ -67,7 +74,7 @@ def test_exactly_once_partitions_identical(matrix, proto):
             frozenset(matrix[proto, backend]["stolen"]),
             frozenset(matrix[proto, backend]["kept"]),
         )
-        for backend in PROTOCOL_BACKENDS
+        for backend in BACKENDS
     }
     reference = partitions["fabric"]
     for backend, partition in partitions.items():
@@ -75,7 +82,7 @@ def test_exactly_once_partitions_identical(matrix, proto):
 
 
 @pytest.mark.parametrize("proto", EXACTLY_ONCE_PROTOCOLS)
-@pytest.mark.parametrize("backend", tuple(PROTOCOL_BACKENDS))
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_exactly_once_conserves_tasks(matrix, proto, backend):
     """Every task appears exactly once across stolen ∪ kept."""
     obs = matrix[proto, backend]
@@ -90,13 +97,13 @@ def test_exactly_once_checksums_agree(matrix, proto):
             partition_checksum(matrix[proto, backend]["stolen"]),
             partition_checksum(matrix[proto, backend]["kept"]),
         )
-        for backend in PROTOCOL_BACKENDS
+        for backend in BACKENDS
     }
     assert len(set(sums.values())) == 1, (proto, sums)
 
 
 @pytest.mark.parametrize("proto", EXACTLY_ONCE_PROTOCOLS)
-@pytest.mark.parametrize("backend", tuple(PROTOCOL_BACKENDS))
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_exactly_once_golden_volumes(matrix, proto, backend):
     """Steal-half arithmetic yields the §4 schedule on every substrate.
 
@@ -108,7 +115,7 @@ def test_exactly_once_golden_volumes(matrix, proto, backend):
 
 
 @pytest.mark.parametrize("proto", AT_LEAST_ONCE_PROTOCOLS)
-@pytest.mark.parametrize("backend", tuple(PROTOCOL_BACKENDS))
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_at_least_once_covers_oracle(matrix, proto, backend):
     """Dedup-set equality against the sequential oracle.
 
@@ -122,7 +129,7 @@ def test_at_least_once_covers_oracle(matrix, proto, backend):
 
 
 @pytest.mark.parametrize("proto", AT_LEAST_ONCE_PROTOCOLS)
-@pytest.mark.parametrize("backend", tuple(PROTOCOL_BACKENDS))
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_at_least_once_single_task_volumes(matrix, proto, backend):
     """The fence-free deque moves exactly one task per successful steal."""
     obs = matrix[proto, backend]
@@ -138,6 +145,6 @@ def test_at_least_once_dedup_checksums_agree(matrix, proto):
             set(matrix[proto, backend]["stolen"])
             | set(matrix[proto, backend]["kept"])
         )
-        for backend in PROTOCOL_BACKENDS
+        for backend in BACKENDS
     }
     assert len(set(sums.values())) == 1, (proto, sums)

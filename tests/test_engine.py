@@ -71,19 +71,6 @@ def test_schedule_into_past_rejected():
         eng.at(1.0, lambda: None)
 
 
-def test_run_until_stops_early():
-    eng = Engine()
-    fired = []
-    eng.schedule(1.0, lambda: fired.append(1))
-    eng.schedule(10.0, lambda: fired.append(2))
-    t = eng.run(until=5.0)
-    assert t == 5.0
-    assert fired == [1]
-    # Remaining event still runs afterwards.
-    eng.run()
-    assert fired == [1, 2]
-
-
 def test_processes_spawned_before_run_start_at_zero():
     eng = Engine()
     starts = []

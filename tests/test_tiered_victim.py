@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fabric.latency import TIERED_EDR, LatencyModel, TieredLatencyModel
 from repro.fabric.topology import TieredTopology, Topology
 from repro.runtime.victim import QuarantineSelector, TieredVictim, make_selector
 
@@ -15,6 +16,12 @@ def big_topology():
     return TieredTopology(
         npes=32, pes_per_node=8, pes_per_socket=4, nodes_per_rack=2
     )
+
+
+def test_tiered_model_is_a_latency_model():
+    """The tiered preset is a drop-in LatencyModel for the NIC."""
+    assert isinstance(TIERED_EDR, TieredLatencyModel)
+    assert isinstance(TIERED_EDR, LatencyModel)
 
 
 class FakeClock:
