@@ -143,6 +143,8 @@ class FfMultQueue:
     """Per-PE handle: owner-side queue ops + the fence-free steal."""
 
     driver_family = "ffmult"
+    #: No completion array: deferred-copy tracking does not exist.
+    oracle_comp_region = None
 
     def __init__(self, system: FfMultQueueSystem, rank: int) -> None:
         self.system = system
@@ -323,13 +325,6 @@ class FfMultQueue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """No completion array — deferred-copy tracking does not exist."""
-        return []
-
-    def oracle_comp_expected(self) -> dict[int, int] | None:
-        return None
-
     def oracle_check(self) -> None:
         """Per-event invariants, valid at any event boundary."""
         split = self._meta[SPLIT]

@@ -89,6 +89,8 @@ class SdcQueue:
     """Per-PE handle: owner-side queue ops + thief-side steal protocol."""
 
     driver_family = "sdc"
+    #: Word region whose transitions the invariant oracle tracks.
+    oracle_comp_region = COMP_REGION
 
     def __init__(self, system: SdcQueueSystem, rank: int) -> None:
         self.system = system
@@ -450,12 +452,6 @@ class SdcQueue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """The completion ring, bulk-read for transition tracking."""
-        return self.system.ctx.heap.load_words(
-            self.rank, COMP_REGION, 0, self.cfg.qsize
-        )
-
     def oracle_comp_expected(self) -> dict[int, int] | None:
         """SDC steal volumes are dynamic — no per-slot expectation.
 

@@ -103,6 +103,8 @@ class SwsQueue:
     """Per-PE handle: owner-side queue ops + the 3-communication steal."""
 
     driver_family = "sws"
+    #: Word region whose transitions the invariant oracle tracks.
+    oracle_comp_region = COMP_REGION
 
     def __init__(self, system: SwsQueueSystem, rank: int) -> None:
         self.system = system
@@ -473,11 +475,6 @@ class SwsQueue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """All completion-array words, bulk-read for transition tracking."""
-        n = self.cfg.max_epochs * self.cfg.comp_slots
-        return self.system.ctx.heap.load_words(self.rank, COMP_REGION, 0, n)
-
     def oracle_comp_expected(self) -> dict[int, int]:
         """Legal nonzero value per completion offset, from live records.
 

@@ -63,6 +63,8 @@ class SwsV1Queue:
     """Per-PE handle for the valid-bit SWS variant."""
 
     driver_family = "sws"
+    #: Word region whose transitions the invariant oracle tracks.
+    oracle_comp_region = COMP_REGION
 
     def __init__(self, system: SwsV1QueueSystem, rank: int) -> None:
         self.system = system
@@ -275,12 +277,6 @@ class SwsV1Queue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """The single completion row, bulk-read for transition tracking."""
-        return self.system.ctx.heap.load_words(
-            self.rank, COMP_REGION, 0, self.cfg.comp_slots
-        )
-
     def oracle_comp_expected(self) -> dict[int, int]:
         """Legal nonzero value per completion slot of the live allotment.
 

@@ -22,9 +22,14 @@ invokes these *at message-arrival virtual time*, so the heap itself needs
 no locking — event ordering is the serialization.  Hot *local* readers may
 take a direct :meth:`word_view`/:meth:`byte_view` on their own PE's row;
 views must be treated as read-only by general code because writes through
-a view bypass both bounds checks and ``shmem_wait_until`` waiter
-notification (the queue layer writes task payload bytes through views —
-byte regions never carry waiters).
+a view bypass bounds checks, ``shmem_wait_until`` waiter notification
+and the dirty-word log (the queue layer writes task payload bytes
+through views — byte regions carry neither waiters nor logs).
+
+A *dirty-word log* (:meth:`dirty_log`) records, per PE, the offsets of a
+word region that the mutators wrote.  The invariant oracle attaches one
+per completion region, so its per-event check visits only the words
+written since its previous check.
 """
 
 from __future__ import annotations
@@ -71,6 +76,11 @@ class SymmetricHeap:
         self._specs: dict[str, RegionSpec] = {}
         # Waiters for shmem_wait_until: (pe, region, offset) -> callbacks.
         self._waiters: dict[tuple[int, str, int], list[WordWaiter]] = {}
+        # Dirty-word logs: region -> per-PE sets of written offsets.
+        self._dirty: dict[str, list[set[int]]] = {}
+        # True while any waiter or log exists: the mutators' only test on
+        # the default path.
+        self._watched = False
 
     # ------------------------------------------------------------------
     # allocation
@@ -145,7 +155,8 @@ class SymmetricHeap:
 
         Local hot paths (queue owners reading their own metadata) index
         this list directly, skipping per-access bounds checks.  Writing
-        through the view would bypass waiter notification; mutate via
+        through the view would bypass waiter notification and the
+        dirty-word log; mutate via
         :meth:`store`/:meth:`fetch_add` instead.
         """
         self._check_pe(pe)
@@ -206,7 +217,7 @@ class SymmetricHeap:
             )
         value &= _U64_MASK
         row[offset] = value
-        if self._waiters:
+        if self._watched:
             self._notify(pe, region, offset, value)
 
     def fetch_add(self, pe: int, region: str, offset: int, delta: int) -> int:
@@ -224,7 +235,7 @@ class SymmetricHeap:
             )
         old = row[offset]
         row[offset] = new = (old + delta) & _U64_MASK
-        if self._waiters:
+        if self._watched:
             self._notify(pe, region, offset, new)
         return old
 
@@ -244,7 +255,7 @@ class SymmetricHeap:
         value &= _U64_MASK
         old = row[offset]
         row[offset] = value
-        if self._waiters:
+        if self._watched:
             self._notify(pe, region, offset, value)
         return old
 
@@ -267,7 +278,7 @@ class SymmetricHeap:
         if old == (expected & _U64_MASK):
             desired &= _U64_MASK
             row[offset] = desired
-            if self._waiters:
+            if self._watched:
                 self._notify(pe, region, offset, desired)
         return old
 
@@ -281,7 +292,7 @@ class SymmetricHeap:
         row = self._word_row(pe, region, offset, len(values))
         masked = [v & _U64_MASK for v in values]
         row[offset : offset + len(masked)] = masked
-        if self._waiters:
+        if self._watched:
             for i, v in enumerate(masked):
                 self._notify(pe, region, offset + i, v)
 
@@ -298,8 +309,27 @@ class SymmetricHeap:
         """
         self._word_row(pe, region, offset)  # validate the address
         self._waiters.setdefault((pe, region, offset), []).append(waiter)
+        self._watched = True
+
+    def dirty_log(self, region: str) -> list[set[int]]:
+        """Switch on (or return) the dirty-word log of a word region.
+
+        The result holds one set per PE; every successful mutation of
+        ``(pe, region, offset)`` adds ``offset`` to set ``pe``.  The
+        consumer reads and clears the sets itself; the log stays on for
+        the heap's lifetime and is shared by every caller.
+        """
+        self._word_row(0, region, 0)  # validate the region
+        log = self._dirty.get(region)
+        if log is None:
+            log = self._dirty[region] = [set() for _ in range(self.npes)]
+            self._watched = True
+        return log
 
     def _notify(self, pe: int, region: str, offset: int, new_value: int) -> None:
+        log = self._dirty.get(region)
+        if log is not None:
+            log[pe].add(offset)
         key = (pe, region, offset)
         waiters = self._waiters.get(key)
         if not waiters:
@@ -309,6 +339,7 @@ class SymmetricHeap:
             self._waiters[key] = remaining
         else:
             del self._waiters[key]
+            self._watched = bool(self._waiters or self._dirty)
 
     # ------------------------------------------------------------------
     # byte operations (payload)

@@ -15,7 +15,9 @@ interleaving of the paper's fused fetch-add window would produce:
   reclaim/turnover) or stay put.  Two thieves claiming the same block
   both add into the same slot, so a **double-claim** surfaces as a
   nonzero-to-different-nonzero transition the instant the second
-  notification lands;
+  notification lands.  A transition can only happen at a word that was
+  written, so after a first full pass the check visits only the offsets
+  the heap's dirty-word log recorded since the previous check;
 * **attempted-steal monotonicity** — within one stealval publication the
   asteals counter may only grow (a shrink means a lost increment);
 * **task conservation** — parameterized on the protocol's declared
@@ -42,6 +44,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..core.stealval import StealValEpoch, StealValV1
+from ..core.sws_queue import SwsQueue
+from ..core.sws_v1_queue import META_REGION as V1_META_REGION
+from ..core.sws_v1_queue import STEALVAL as V1_STEALVAL
+from ..core.sws_v1_queue import SwsV1Queue
 from ..fabric.errors import OracleViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,7 +80,18 @@ class PoolOracle:
         #: clean sweeps — a cheap "the oracle really ran" signal.
         self.checks_passed = 0
         self._events = 0
-        # Cross-event tracking state, per PE.
+        # Cross-event tracking state, per PE.  A queue's completion words
+        # are tracked through its live heap row plus the heap's log of
+        # the offsets written since the last check; ``None`` when the
+        # protocol has no completion array.
+        heap = pool.ctx.heap
+        self._comp: list[tuple[list[int], set[int]] | None] = [
+            None if q.oracle_comp_region is None else (
+                heap.word_view(q.rank, q.oracle_comp_region),
+                heap.dirty_log(q.oracle_comp_region)[q.rank],
+            )
+            for q in self.queues
+        ]
         self._prev_comp: list[list[int] | None] = [None] * pool.npes
         self._prev_sv: list[tuple | None] = [None] * pool.npes
 
@@ -129,40 +147,55 @@ class PoolOracle:
 
     # ------------------------------------------------------------------
     def _check_comp_transitions(self, q) -> None:
-        """Completion words: written once per steal, with the legal volume."""
-        words = q.oracle_comp_words()
+        """Completion words: written once per steal, with the legal volume.
+
+        The first check compares the whole row against zeros; later
+        checks visit only the offsets written since, in ascending order,
+        so the first violation found is the one a full rescan would find.
+        """
+        comp = self._comp[q.rank]
+        if comp is None:
+            return
+        row, dirty = comp
         prev = self._prev_comp[q.rank]
-        expected = q.oracle_comp_expected()
-        qsize = q.cfg.qsize
-        for off, val in enumerate(words):
-            old = prev[off] if prev is not None else 0
+        if prev is None:
+            prev = self._prev_comp[q.rank] = [0] * len(row)
+            offsets = range(len(row))
+        elif dirty:
+            offsets = sorted(dirty)
+        else:
+            return
+        dirty.clear()
+        for off in offsets:
+            val = row[off]
+            old = prev[off]
             if val == old:
                 continue
-            if val == 0:
-                continue  # owner reclaim / epoch turnover
-            if old != 0:
-                raise OracleViolation(
-                    "double-claim",
-                    f"completion word {off} jumped {old} -> {val}: two "
-                    f"thieves notified the same steal slot",
-                    pe=q.rank,
-                )
-            if expected is None:
-                if not 1 <= val <= qsize:
+            if val != 0:  # 0 is owner reclaim / epoch turnover
+                if old != 0:
                     raise OracleViolation(
-                        "comp-volume-range",
-                        f"completion word {off} holds {val}, outside "
-                        f"[1, {qsize}]",
+                        "double-claim",
+                        f"completion word {off} jumped {old} -> {val}: two "
+                        f"thieves notified the same steal slot",
                         pe=q.rank,
                     )
-            elif expected.get(off) != val:
-                raise OracleViolation(
-                    "comp-volume",
-                    f"completion word {off} holds {val}; the steal-half "
-                    f"schedule allows {expected.get(off, 'nothing')}",
-                    pe=q.rank,
-                )
-        self._prev_comp[q.rank] = words
+                expected = q.oracle_comp_expected()
+                if expected is None:
+                    if not 1 <= val <= q.cfg.qsize:
+                        raise OracleViolation(
+                            "comp-volume-range",
+                            f"completion word {off} holds {val}, outside "
+                            f"[1, {q.cfg.qsize}]",
+                            pe=q.rank,
+                        )
+                elif expected.get(off) != val:
+                    raise OracleViolation(
+                        "comp-volume",
+                        f"completion word {off} holds {val}; the steal-half "
+                        f"schedule allows {expected.get(off, 'nothing')}",
+                        pe=q.rank,
+                    )
+            prev[off] = val
 
     def _check_asteals_monotone(self, q) -> None:
         """asteals only grows within one stealval publication."""
@@ -190,19 +223,13 @@ class PoolOracle:
         asteals reset across such a re-publication would look like a lost
         increment.
         """
-        from ..core.stealval import StealValEpoch, StealValV1
-        from ..core.sws_queue import SwsQueue
-        from ..core.sws_v1_queue import SwsV1Queue
-
         if isinstance(q, SwsQueue):
             v = StealValEpoch.unpack(q._load_stealval())
             if v.locked:
                 return None
             return ("epoch", q.publications), v.asteals
         if isinstance(q, SwsV1Queue):
-            from ..core.sws_v1_queue import META_REGION, STEALVAL
-
-            v = StealValV1.unpack(q.pe.local_load(META_REGION, STEALVAL))
+            v = StealValV1.unpack(q.pe.local_load(V1_META_REGION, V1_STEALVAL))
             if not v.valid:
                 return None
             return ("v1", q.publications), v.asteals

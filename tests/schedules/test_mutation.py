@@ -10,13 +10,15 @@ and that greedy shrinking keeps it failing:
   that read between each other's adds claim the same block;
 * **spurious completion retry** — a widened notification window where
   the thief's completion fetch-add lands twice: the completion-word
-  discipline pins it as a double claim the moment the second add lands.
+  discipline pins it as a double claim the moment the second add lands,
+  in SWS's epoch rows and in SDC's completion ring alike.
 """
 
 import pytest
 
 from repro.analysis.explore import explore, pool_factory, replay_trace, shrink_trace
 from repro.core.results import StealResult, StealStatus
+from repro.core.sdc_queue import SdcQueue
 from repro.core.steal_half import steal_displacement, steal_volume
 from repro.core.stealval import StealValEpoch
 from repro.core.sws_queue import META_REGION, STEALVAL, SwsQueue
@@ -100,6 +102,29 @@ def test_explorer_catches_double_notification(monkeypatch):
     assert not replayed.ok
     assert replayed.check == "double-claim"
     assert replayed.events == fail.events
+
+
+def test_explorer_catches_sdc_double_notification(monkeypatch):
+    original = SdcQueue._notify_completion
+
+    def doubled(self, victim, slot, ntasks):
+        yield from original(self, victim, slot, ntasks)
+        yield from original(self, victim, slot, ntasks)
+
+    monkeypatch.setattr(SdcQueue, "_notify_completion", doubled)
+    report = explore("flat", "sdc", policy="fixed", stop_on_failure=True)
+    assert report.failures, "oracle missed the doubled SDC completion add"
+    fail = report.failures[0]
+    # The first thief's 24-task claim on slot 0 lands a second time.
+    assert fail.check == "double-claim"
+    assert fail.events == 60
+    assert "completion word 0 jumped 24 -> 48" in fail.detail
+
+    replayed = replay_trace(fail.trace)
+    assert not replayed.ok
+    assert (replayed.check, replayed.events, replayed.detail) == (
+        fail.check, fail.events, fail.detail
+    )
 
 
 def test_clean_protocol_survives_same_sweep():

@@ -145,3 +145,88 @@ class TestBulk:
         h.alloc_bytes("r", max(1, len(data)))
         h.write_bytes(0, "r", 0, data)
         assert h.read_bytes(0, "r", 0, len(data)) == data
+
+
+class TestDirtyLog:
+    """The per-region log of written offsets the invariant oracle reads."""
+
+    def test_each_mutator_logs_its_offsets_on_its_pe(self, heap):
+        log = heap.dirty_log("w")
+        assert len(log) == heap.npes and not any(log)
+        heap.store(1, "w", 3, 5)
+        heap.fetch_add(2, "w", 4, 1)
+        heap.swap(3, "w", 5, 9)
+        heap.compare_swap(0, "w", 6, 0, 7)
+        heap.store_words(2, "w", 10, [1, 2, 3])
+        assert log == [{6}, {3}, {4, 10, 11, 12}, {5}]
+
+    def test_unchanged_value_still_logged(self, heap):
+        """A write is logged whether or not it changes the word."""
+        log = heap.dirty_log("w")
+        heap.store(0, "w", 1, 0)
+        heap.fetch_add(0, "w", 2, 0)
+        assert log[0] == {1, 2}
+
+    def test_failed_compare_swap_logs_nothing(self, heap):
+        log = heap.dirty_log("w")
+        heap.store(0, "w", 2, 7)
+        log[0].clear()
+        assert heap.compare_swap(0, "w", 2, 8, 42) == 7
+        assert not any(log)
+
+    def test_reads_log_nothing(self, heap):
+        log = heap.dirty_log("w")
+        heap.load(0, "w", 0)
+        heap.load_words(1, "w", 0, 16)
+        heap.word_view(2, "w")
+        assert not any(log)
+
+    def test_log_is_per_region_and_shared(self, heap):
+        heap.alloc_words("other", 4)
+        log = heap.dirty_log("w")
+        assert heap.dirty_log("w") is log
+        heap.store(0, "other", 1, 1)
+        assert not any(log)
+
+    def test_consumer_clears(self, heap):
+        log = heap.dirty_log("w")
+        heap.store(0, "w", 0, 1)
+        log[0].clear()
+        heap.store(0, "w", 1, 1)
+        assert log[0] == {1}
+
+    def test_missing_region_rejected(self, heap):
+        with pytest.raises(RegionError):
+            heap.dirty_log("nope")
+        with pytest.raises(RegionError):
+            heap.dirty_log("b")  # byte regions carry no log
+
+    def test_waiters_fire_and_deregister_with_log(self, heap):
+        log = heap.dirty_log("w")
+        seen = []
+        heap.add_waiter(1, "w", 0, lambda v: (seen.append(v), v == 3)[1])
+        heap.store(1, "w", 0, 1)
+        heap.fetch_add(1, "w", 0, 2)
+        heap.store(1, "w", 0, 9)  # waiter already removed
+        assert seen == [1, 3]
+        assert heap._waiters == {}
+        assert log[1] == {0}
+        assert heap._watched  # the log keeps the mutators' guard on
+
+    def test_guard_off_by_default(self, heap):
+        assert not heap._watched
+        heap.store(0, "w", 0, 1)
+        assert not heap._watched
+
+    def test_guard_falls_back_when_last_waiter_leaves(self, heap):
+        heap.add_waiter(0, "w", 0, lambda v: v == 1)
+        heap.add_waiter(2, "w", 5, lambda v: v == 2)
+        assert heap._watched
+        heap.store(0, "w", 0, 1)
+        assert heap._watched  # one waiter left
+        heap.store(2, "w", 5, 2)
+        assert not heap._watched
+
+    def test_guard_on_once_a_log_exists(self, heap):
+        heap.dirty_log("w")
+        assert heap._watched
