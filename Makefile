@@ -27,7 +27,7 @@ schedules:
 # (see docs/backends.md).
 mp:
 	$(PYTHON) -m pytest tests/test_mp_atomics.py tests/test_mp_queue.py \
-	    tests/test_mp_driver.py
+	    tests/test_mp_driver.py tests/test_mp_leases.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,
 # task conservation and completion accounting.

@@ -15,6 +15,11 @@ Workloads:
   (:mod:`repro.workloads.uts`); tasks are 20-byte node states packed
   into 4 shared words, children are enqueued locally and shared on
   demand.
+* ``serve`` — open-system arrivals (:func:`run_mp_serve`): 2-word
+  ``(seq, post_ns)`` records fed through per-rank inboxes.
+
+All three run the same PE loop (:func:`_pe_loop`); serving and the
+crash-tolerant regime switch on hooks that are inert by default.
 
 Termination uses two global counters (``created`` / ``completed``) with
 the monotone argument: ``completed <= created`` always, and reading
@@ -34,12 +39,14 @@ import random
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import islice
+from queue import Empty
 
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealStatus
 from ..core.stealval import StealValEpoch
 from ..shmem.heap import SymmetricAllocator
-from ..threads.protocol import Backoff, StallTimeout
+from ..threads.protocol import Backoff
 from ..workloads.uts import UtsParams, expand, get_tree
 from .atomics import _preferred_context, pid_alive
 from .errors import MpStallError, RingOverflowError
@@ -269,14 +276,24 @@ class MpRunResult:
 
 # ----------------------------------------------------------------------
 # The PE process body
+#
+# One loop runs every regime: execute local tasks, share half on demand,
+# feed, reclaim, steal, and test for termination.  The plain regime is
+# the loop with every hook off.  Serving turns on the ``feed`` hook (its
+# arrival inbox) and the ``closed`` gate on termination; its execute
+# step is the "serve" workload.  Crash mode turns on the hooks of
+# :class:`_CrashHooks`.  A hook that is off costs its site one ``is
+# None`` test.
 # ----------------------------------------------------------------------
 
 def _pe_main(
-    rank, npes, heap, layouts, impl, wl, ctl, seed, damping, outq
+    rank, npes, heap, layouts, impl, wl, ctl, seed, damping, outq,
+    crash=None, inboxes=None,
 ) -> None:
     """One PE: execute local tasks, share on demand, steal when starved."""
     try:
-        stats = _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping)
+        stats = _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed,
+                         damping, crash, inboxes)
         outq.put(("ok", rank, stats))
     except BaseException:
         import traceback
@@ -285,9 +302,13 @@ def _pe_main(
 
 
 def _bind_workload(kind, arg):
-    """(rank-0 seed tasks, execute, fingerprint) for a workload spec."""
+    """(rank-0 seed tasks, execute, fingerprint, report) for a workload spec.
+
+    ``report`` is None, or returns extra entries for the PE's stats
+    payload.
+    """
     if kind == "synthetic":
-        return range(arg), (lambda payload: ()), _mix64
+        return range(arg), (lambda payload: ()), _mix64, None
     if kind == "uts":
         params = arg
 
@@ -298,48 +319,206 @@ def _bind_workload(kind, arg):
                 for c in expand(params, state, depth, is_root)
             ]
 
-        return [encode_uts(params.root(), 0, True)], execute, _fp_uts
+        return [encode_uts(params.root(), 0, True)], execute, _fp_uts, None
+    if kind == "serve":
+        # Records are (arrival seq, post ns): executing one records its
+        # post-to-execution latency, and arrivals spawn nothing.
+        from ..runtime.stats import QuantileSketch
+
+        slo_ns = arg
+        sketch = QuantileSketch()
+        attained = [0]
+
+        def execute(payload):
+            lat = time.monotonic_ns() - payload[1]
+            sketch.add(lat)
+            if slo_ns and lat <= slo_ns:
+                attained[0] += 1
+            return ()
+
+        def report():
+            return {"serve_sketch": sketch.to_dict(),
+                    "serve_slo_attained": attained[0]}
+
+        return (), execute, (lambda payload: _mix64(payload[0])), report
     raise ValueError(f"unknown workload {kind!r}")
 
 
-def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
-    kind, arg = wl
-    created = heap.ref(ctl["created"])
-    completed = heap.ref(ctl["completed"])
-    owner = layouts[rank].owner(heap)
-    thieves = {
-        v: layouts[v].thief(heap) for v in range(npes) if v != rank
-    }
-    rng = random.Random((seed * 1_000_003) ^ rank)
-    tracker = DampingTracker(npes, enabled=damping and impl == "sws")
-    stats = MpPeStats(rank=rank)
-    local: deque = deque()
+def _shared_work_test(impl, heap, layout):
+    """A zero-argument test: does this PE's shared queue expose work?
 
-    seed_tasks, execute, fingerprint = _bind_workload(kind, arg)
-    if rank == 0:
-        local.extend(seed_tasks)
-
-    # Owner-local metadata inspection runs after every executed task; the
-    # seqlock read keeps it off the stripe locks the thieves' claims are
-    # hammering, and the verdict is cached against the raw word (claims
-    # change the word, so a stale verdict is impossible).
-    sv_cache = [None, False]
+    The owner runs it after every executed task, and the crash
+    supervisor in each sweep.  The seqlock read keeps it off the stripe
+    locks the thieves' claims are hammering, and the SWS verdict is
+    cached against the raw word (claims change the word, so a stale
+    verdict is impossible).
+    """
+    if impl == "sws":
+        stealval = heap.ref(layout.stealval)
+        sv_cache = [None, False]
+    else:
+        split, tail = heap.ref(layout.split), heap.ref(layout.tail)
 
     def shared_has_work() -> bool:
         if impl == "sws":
-            raw = owner.stealval.load_seq()
+            raw = stealval.load_seq()
             if raw != sv_cache[0]:
                 sv_cache[0] = raw
                 sv_cache[1] = DampingTracker.view_has_work(
                     StealValEpoch.unpack(raw)
                 )
             return sv_cache[1]
-        return owner.split.load_seq() - owner.tail.load_seq() > 0
+        return split.load_seq() - tail.load_seq() > 0
 
-    def reclaim() -> int:
-        kept = owner.take_kept()
-        local.extend(kept)
-        return len(kept)
+    return shared_has_work
+
+
+class _LocalDeque(deque):
+    """The private task store, with :class:`ShmRing`'s share-side API."""
+
+    __slots__ = ()
+
+    def peek_left_block(self, count: int) -> list:
+        return list(islice(self, count))
+
+    def drop_left(self, count: int) -> None:
+        for _ in range(count):
+            self.popleft()
+
+
+class _CrashHooks:
+    """The crash regime's hooks into the PE loop (CrashPlan active).
+
+    The local store becomes the PE's shared ring, popped through the
+    in-flight journal; every execution is fingerprint-logged; arriving
+    work bumps the activity word and clears the idle flag the
+    supervisor's quiescence sweep reads; thieves record steal intents
+    and skip dead victims; the plan's injector kills the process at its
+    trigger.  The PE exits on the supervisor's stop word, because
+    created/completed cannot be exactly reconciled once a crash has
+    lost batched completions or double-created children.
+    """
+
+    def __init__(self, rank, npes, heap, layouts, impl, owner, thieves,
+                 plan, regions, fresh) -> None:
+        pe = self.pe = regions.bind(heap, rank)
+        pe.pid.store(os.getpid())
+        self.ring = pe.ring
+        self.fresh = fresh
+        self.heap = heap
+        owner.stall_s = CRASH_SETTLE_S
+        if impl == "sws":
+            owner.dead_claimant = lambda token: not pid_alive(token)
+        for v, thief in thieves.items():
+            thief.intent = self._intent_for(v)
+            if impl == "sws":
+                thief.claim_token = os.getpid()
+        self.injector = CrashInjector(plan, rank, npes)
+        self.die_at_steal = False
+        self.sv_index = heap.index(
+            layouts[rank].stealval if impl == "sws" else layouts[rank].lock
+        )
+        self.hb = 0
+        self.idle = pe.idle.load()
+        self.act = pe.act.load()
+
+    def _intent_for(self, victim: int):
+        def intent(start, count):
+            self.pe.intent_set(victim, start, count)
+            if self.die_at_steal:
+                self.injector.die()   # mid-steal: claim won, loot not copied
+        return intent
+
+    def _beat(self) -> None:
+        self.hb += 1
+        self.pe.hb.store(self.hb)
+
+    def _bump_act(self) -> None:
+        self.act += 1
+        self.pe.act.store(self.act)
+
+    def active(self) -> None:
+        """Work arrived: bump the activity word, clear the idle flag."""
+        self._bump_act()
+        if self.idle:
+            self.idle = 0
+            self.pe.idle.store(0)
+
+    def executed(self, fp: int) -> None:
+        """Log a task whose children are in the ring; retire its journal."""
+        self._beat()
+        self.pe.xlog.append(fp)
+        self._bump_act()
+        self.pe.inflight_clear()
+        point = self.injector.maybe_die()
+        if point == "steal":
+            self.die_at_steal = True      # next winning claim dies mid-copy
+        elif point == "lock":
+            self.heap.words.die_holding(self.sv_index)
+
+    def feed(self) -> bool:
+        """Once per starved pass: beat, then take re-injected orphans."""
+        self._beat()
+        got = self.pe.inbox.drain()
+        if not got:
+            return False
+        self.ring.extend(got)
+        self.active()
+        return True
+
+    def stole(self, loot) -> None:
+        self.active()
+        self.ring.extend(loot)
+        self.pe.intent_clear()            # loot durable: intent retired
+
+    def live(self, order):
+        dead = self.pe.dead
+        return (v for v in order if not dead[v].load_seq())
+
+    def stopped(self) -> bool:
+        """Nothing anywhere: flag idle; exit once the stop word is up."""
+        if not self.idle:
+            self.idle = 1
+            self.pe.idle.store(1)
+        return bool(self.pe.stop.load_seq())
+
+
+def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
+             crash=None, inboxes=None) -> dict:
+    created = heap.ref(ctl["created"])
+    completed = heap.ref(ctl["completed"])
+    closed = heap.ref(ctl["closed"]) if "closed" in ctl else None
+    owner = layouts[rank].owner(heap)
+    thieves = {
+        v: layouts[v].thief(heap) for v in range(npes) if v != rank
+    }
+    victims = sorted(thieves)
+    rng = random.Random((seed * 1_000_003) ^ rank)
+    tracker = DampingTracker(npes, enabled=damping and impl == "sws")
+    stats = MpPeStats(rank=rank)
+    shared_has_work = _shared_work_test(impl, heap, layouts[rank])
+    seed_tasks, execute, fingerprint, report = _bind_workload(*wl)
+
+    cr = feed = None
+    if crash is not None:
+        cr = _CrashHooks(rank, npes, heap, layouts, impl, owner, thieves,
+                         *crash)
+        local, feed = cr.ring, cr.feed
+    else:
+        local = _LocalDeque()
+    if inboxes is not None:
+        inbox = _serve_inbox(heap, inboxes[rank])
+
+        def feed() -> bool:
+            fresh = inbox.drain()
+            local.extend(fresh)
+            return bool(fresh)
+
+    # Tasks the owner takes back (a release's unclaimed remainder, an
+    # acquire's half, voided dead claims) land straight in the store.
+    owner.owner_kept = local
+    if rank == 0 and (cr is None or cr.fresh):
+        local.extend(seed_tasks)
 
     def try_share() -> None:
         if (
@@ -348,15 +527,15 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
             or shared_has_work()
         ):
             return
-        n = len(local) // 2
-        batch = [local.popleft() for _ in range(n)]
+        batch = local.peek_left_block(len(local) // 2)
         pushed = owner.push_all(batch)
-        for payload in reversed(batch[pushed:]):
-            local.appendleft(payload)        # buffer full: keep the rest
         if pushed:
             owner.release(pushed)
             stats.releases += 1
-            reclaim()                        # absorbed previous remainder
+        # Drop the shared-out records only now (any that did not fit
+        # stay): a crash before this point duplicates them (scavenger +
+        # steal queue), never loses them.
+        local.drop_left(pushed)
 
     def try_steal_from(victim: int) -> bool:
         thief = thieves[victim]
@@ -386,12 +565,15 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
         stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
         if res.claimed:
             stats.steal_volumes.append(len(res.claimed))
-            local.extend(res.claimed)
+            if cr is None:
+                local.extend(res.claimed)
+            else:
+                cr.stole(res.claimed)
             return True
         return False
 
     # Completion increments are batched locally and flushed whenever the
-    # local deque drains (and before any termination read).  Deferring
+    # local store drains (and before any termination read).  Deferring
     # ``completed`` only ever *understates* it, so the global invariant
     # ``completed <= created`` survives; ``created`` must stay prompt —
     # children become stealable at the next release, and their creation
@@ -410,274 +592,170 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
                    deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
     while True:
         if local:
-            payload = local.pop()
+            payload = local.pop()         # crash mode: journaled first
             children = execute(payload)
             if children:
                 created.fetch_add(len(children))
                 local.extend(children)
+            fp = fingerprint(payload)
+            if cr is not None:
+                cr.executed(fp)
             done_pending += 1
             stats.executed += 1
-            stats.checksum ^= fingerprint(payload)
+            stats.checksum ^= fp
             try_share()
             continue
         if done_pending:
             completed.fetch_add(done_pending)
             done_pending = 0
-        # Local deque empty: reclaim our own shared remainder first.
+        if feed is not None and feed():
+            idle.reset()
+            continue
+        # Local store empty: reclaim our own shared remainder first.
         owner.acquire()
         stats.acquires += 1
-        if reclaim():
+        if local:
+            if cr is not None:
+                cr.active()
             idle.reset()
             continue
         # Steal sweep over victims in a fresh random order.
-        order = rng.sample(sorted(thieves), len(thieves))
+        order = rng.sample(victims, len(victims))
+        if cr is not None:
+            order = cr.live(order)
         if any(try_steal_from(v) for v in order):
             idle.reset()
             continue
-        # Nothing anywhere: are the books balanced?  (completed first!)
-        done = completed.load_seq()
-        if done == created.load_seq():
-            break
+        # Nothing anywhere: may this PE exit?
+        if cr is not None:
+            if cr.stopped():
+                break
+        elif closed is None or closed.load_seq():
+            # Are the books balanced?  (completed first!)
+            done = completed.load_seq()
+            if done == created.load_seq():
+                break
         idle.wait()
 
     stats.probes = tracker.stats.probes
     stats.probe_aborts = tracker.stats.probe_aborts
     stats.demotions = tracker.stats.demotions
     stats.promotions = tracker.stats.promotions
-    return stats.__dict__
+    payload = stats.__dict__
+    if report is not None:
+        payload.update(report())
+    return payload
 
 
 # ----------------------------------------------------------------------
-# Crash-mode PE body (CrashPlan active)
-#
-# The private deque moves into a shared-memory ring, every execution is
-# journaled and fingerprint-logged, and termination is supervisor-led
-# (stop word) because created/completed cannot be exactly reconciled
-# once a crash has lost batched completions or double-created children.
+# The parent-side runners
 # ----------------------------------------------------------------------
 
-class _RingKeeper:
-    """``owner_kept`` stand-in that lands reabsorbed tasks straight in
-    the PE's shared ring, instead of a Python list a crash would lose."""
+class _MpJob:
+    """One run's shared heap, PE processes and report queue.
 
-    __slots__ = ("_ring",)
+    The constructor reserves the per-PE queues and the ``ctl`` words;
+    the caller reserves anything else (crash regions, serving inboxes),
+    then :meth:`launch` freezes the heap and starts one process per
+    rank.  Leaving the ``with`` block kills any stragglers *before*
+    unlinking, so no live mapping outlasts the segment, then destroys it
+    exactly once, on every exit path.
+    """
 
-    def __init__(self, ring) -> None:
-        self._ring = ring
+    def __init__(self, impl, npes, capacity, wpt,
+                 ctl_words=("created", "completed")) -> None:
+        self.impl = impl
+        self.npes = npes
+        self.ctx = _preferred_context()
+        self.heap = MpHeap(ctx=self.ctx)
+        layout_cls = SwsQueueLayout if impl == "sws" else SdcQueueLayout
+        self.layouts = [
+            layout_cls.reserve(self.heap, f"pe{r}", capacity,
+                               words_per_task=wpt)
+            for r in range(npes)
+        ]
+        alloc = SymmetricAllocator(self.heap, "ctl")
+        self.ctl = {name: alloc.word(name) for name in ctl_words}
+        alloc.commit()
+        self.procs: dict[int, object] = {}
+        self.reports: list[dict] = []
+        self.errors: list[str] = []
 
-    def extend(self, tasks) -> None:
-        self._ring.extend(tasks)
+    def __enter__(self) -> "_MpJob":
+        return self
 
-    def append(self, task) -> None:
-        self._ring.extend([task])
+    def __exit__(self, *exc) -> None:
+        for p in self.procs.values():
+            if p.is_alive():
+                p.terminate()
+        for p in self.procs.values():
+            p.join(timeout=5)
+        self.heap.close()
+        self.heap.unlink()
 
+    def word(self, name: str):
+        return self.heap.ref(self.ctl[name])
 
-def _pe_main_crash(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
-                   crash, regions, fresh, outq) -> None:
-    try:
-        stats = _pe_loop_crash(rank, npes, heap, layouts, impl, wl, ctl,
-                               seed, damping, crash, regions, fresh)
-        outq.put(("ok", rank, stats))
-    except BaseException:
-        import traceback
+    def launch(self, wl, seed, damping, created=0, **regime) -> None:
+        """Freeze the heap, book ``created`` seed tasks, start every PE."""
+        self.heap.freeze()
+        self.word("created").store(created)
+        self.outq = self.ctx.Queue()
+        self._args = (self.npes, self.heap, self.layouts, self.impl, wl,
+                      self.ctl, seed, damping, self.outq)
+        procs = [self._process(r, regime) for r in range(self.npes)]
+        self.t0 = time.perf_counter()
+        for p in procs:
+            p.start()
 
-        outq.put(("error", rank, traceback.format_exc()))
+    def spawn(self, rank, **regime) -> None:
+        """Restart rank's process; ``regime`` goes to :func:`_pe_main`."""
+        self._process(rank, regime).start()
 
+    def _process(self, rank, regime):
+        p = self.procs[rank] = self.ctx.Process(
+            target=_pe_main, args=(rank, *self._args), kwargs=regime,
+            daemon=True,
+        )
+        return p
 
-def _pe_loop_crash(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
-                   crash, regions, fresh) -> dict:
-    kind, arg = wl
-    created = heap.ref(ctl["created"])
-    completed = heap.ref(ctl["completed"])
-    owner = layouts[rank].owner(heap)
-    owner.stall_s = CRASH_SETTLE_S
-    if impl == "sws":
-        owner.dead_claimant = lambda token: not pid_alive(token)
-    pe = regions.bind(heap, rank)
-    pe.pid.store(os.getpid())
-    ring = pe.ring
-    owner.owner_kept = _RingKeeper(ring)
-    injector = CrashInjector(crash, rank, npes)
-    die_at_steal = [False]
-
-    def _mk_intent(victim):
-        def _intent(start, count):
-            pe.intent_set(victim, start, count)
-            if die_at_steal[0]:
-                injector.die()       # mid-steal: claim won, loot not copied
-        return _intent
-
-    thieves = {}
-    for v in range(npes):
-        if v == rank:
-            continue
-        thief = layouts[v].thief(heap)
-        thief.intent = _mk_intent(v)
-        if impl == "sws":
-            thief.claim_token = os.getpid()
-        thieves[v] = thief
-
-    rng = random.Random((seed * 1_000_003) ^ rank)
-    tracker = DampingTracker(npes, enabled=damping and impl == "sws")
-    stats = MpPeStats(rank=rank)
-    seed_tasks, execute, fingerprint = _bind_workload(kind, arg)
-    if rank == 0 and fresh:
-        ring.extend(seed_tasks)
-
-    sv_cache = [None, False]
-
-    def shared_has_work() -> bool:
-        if impl == "sws":
-            raw = owner.stealval.load_seq()
-            if raw != sv_cache[0]:
-                sv_cache[0] = raw
-                sv_cache[1] = DampingTracker.view_has_work(
-                    StealValEpoch.unpack(raw)
-                )
-            return sv_cache[1]
-        return owner.split.load_seq() - owner.tail.load_seq() > 0
-
-    def try_share() -> None:
-        if (
-            len(ring) < RELEASE_MIN
-            or owner.nfilled >= owner.capacity
-            or shared_has_work()
-        ):
-            return
-        batch = ring.peek_left_block(len(ring) // 2)
-        pushed = owner.push_all(batch)
-        if pushed:
-            owner.release(pushed)    # absorbed remainder lands in the ring
-            stats.releases += 1
-        # Only now drop the shared-out records: a crash before this
-        # point duplicates them (scavenger + steal queue), never loses.
-        ring.drop_left(pushed)
-
-    idle_state = [0]
-
-    def set_idle(flag: int) -> None:
-        if idle_state[0] != flag:
-            idle_state[0] = flag
-            pe.idle.store(flag)
-
-    act_box = [pe.act.load()]
-
-    def bump_act() -> None:
-        act_box[0] += 1
-        pe.act.store(act_box[0])
-
-    def try_steal_from(victim: int) -> bool:
-        thief = thieves[victim]
-        if impl == "sws":
-            if tracker.mode(victim) is TargetMode.EMPTY:
-                view = StealValEpoch.unpack(thief.probe())
-                tracker.note_probe(victim, DampingTracker.view_has_work(view))
-                if tracker.mode(victim) is TargetMode.EMPTY:
-                    return False
-            res = thief.steal()
-            if res.claimed:
-                status = StealStatus.STOLEN
-                tracker.note_success(victim)
-            elif res.aborted_locked:
-                status = StealStatus.DISABLED
-            else:
-                status = StealStatus.EMPTY
-                tracker.note_failed_claim(victim, res.view)
+    def _file(self, report) -> None:
+        status, rank, payload = report
+        if status == "ok":
+            self.reports.append(payload)
         else:
-            res = thief.steal(max_spins=200)
-            if res.claimed:
-                status = StealStatus.STOLEN
-            elif res.empty:
-                status = StealStatus.EMPTY
-            else:
-                status = StealStatus.LOCKED_ABORT
-        stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
-        if res.claimed:
-            stats.steal_volumes.append(len(res.claimed))
-            bump_act()
-            set_idle(0)
-            ring.extend(res.claimed)
-            pe.intent_clear()        # loot durable: intent record retired
-            return True
-        return False
+            self.errors.append(f"PE {rank}:\n{payload}")
 
-    def _idle_stall() -> bool:
-        if heap.words.break_dead_leases():
-            return True
-        raise MpStallError("PE idle loop made no progress", rank=rank,
-                           waited_s=MP_IDLE_STALL_S)
+    def drain(self) -> None:
+        """File every report already queued, without waiting."""
+        while True:
+            try:
+                self._file(self.outq.get_nowait())
+            except Empty:
+                return
 
-    sv_index = heap.index(
-        layouts[rank].stealval if impl == "sws" else layouts[rank].lock
-    )
-    done_pending = 0
-    hb_n = 0
-    idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
-                   deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
-    while True:
-        hb_n += 1
-        pe.hb.store(hb_n)
-        if ring:
-            set_idle(0)
-            payload = ring.peek_right()
-            pe.inflight_write(payload)    # journal before the pop: a
-            ring.drop_right()             # crash here duplicates, at worst
-            children = execute(payload)
-            if children:
-                created.fetch_add(len(children))
-                ring.extend(children)
-            fp = fingerprint(payload)
-            pe.xlog.append(fp)
-            stats.executed += 1
-            stats.checksum ^= fp
-            done_pending += 1
-            bump_act()
-            pe.inflight_clear()
-            point = injector.maybe_die()
-            if point == "steal":
-                die_at_steal[0] = True    # next winning claim dies mid-copy
-            elif point == "lock":
-                heap.words.die_holding(sv_index)
-            try_share()
-            idle.reset()
-            continue
-        if done_pending:
-            completed.fetch_add(done_pending)
-            done_pending = 0
-        owner.acquire()                   # reclaim lands in the ring
-        stats.acquires += 1
-        if ring:
-            bump_act()
-            idle.reset()
-            continue
-        got = pe.inbox.drain()
-        if got:
-            ring.extend(got)
-            bump_act()
-            set_idle(0)
-            idle.reset()
-            continue
-        order = rng.sample(sorted(thieves), len(thieves))
-        if any(
-            try_steal_from(v) for v in order if not pe.dead[v].load_seq()
-        ):
-            idle.reset()
-            continue
-        set_idle(1)
-        if pe.stop.load_seq():
-            break
-        idle.wait()
+    def collect(self, join_timeout: float, what: str) -> float:
+        """Wait for one report per rank, reap the processes, and return
+        the wall time from launch to the last report."""
+        for _ in range(self.npes):
+            self._file(self.outq.get(timeout=join_timeout))
+        wall = time.perf_counter() - self.t0
+        for p in self.procs.values():
+            p.join(timeout=join_timeout)
+            if p.is_alive():
+                p.terminate()
+                self.errors.append("PE process failed to exit after reporting")
+        self.check(what)
+        return wall
 
-    stats.probes = tracker.stats.probes
-    stats.probe_aborts = tracker.stats.probe_aborts
-    stats.demotions = tracker.stats.demotions
-    stats.promotions = tracker.stats.promotions
-    return stats.__dict__
+    def check(self, what: str) -> None:
+        if self.errors:
+            raise RuntimeError(f"{what}:\n" + "\n".join(self.errors))
 
+    def pe_stats(self) -> list[MpPeStats]:
+        return sorted((MpPeStats(**p) for p in self.reports),
+                      key=lambda s: s.rank)
 
-# ----------------------------------------------------------------------
-# The parent-side runner
-# ----------------------------------------------------------------------
 
 def run_mp(
     workload: str = "synthetic",
@@ -725,93 +803,30 @@ def run_mp(
         capacity = capacity or (1 << 14)
         nseed = 1
 
-    if crash is not None and crash.active:
-        return _run_mp_crash(
-            workload, impl, npes, wl=wl, wpt=wpt, capacity=capacity,
-            nseed=nseed, seed=seed, damping=damping,
-            join_timeout=join_timeout, crash=crash,
-        )
-
-    ctx = _preferred_context()
-    heap = MpHeap(ctx=ctx)
-    layout_cls = SwsQueueLayout if impl == "sws" else SdcQueueLayout
-    layouts = [
-        layout_cls.reserve(heap, f"pe{r}", capacity, words_per_task=wpt)
-        for r in range(npes)
-    ]
-    alloc = SymmetricAllocator(heap, "ctl")
-    ctl = {"created": alloc.word("created"), "completed": alloc.word("completed")}
-    alloc.commit()
-    heap.freeze()
-    procs: list = []
-    try:
-        heap.ref(ctl["created"]).store(nseed)
-        outq = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_pe_main,
-                args=(r, npes, heap, layouts, impl, wl, ctl, seed, damping, outq),
-                daemon=True,
-            )
-            for r in range(npes)
-        ]
-        t0 = time.perf_counter()
-        for p in procs:
-            p.start()
-
-        pes: list[MpPeStats] = []
-        errors: list[str] = []
-        try:
-            for _ in range(npes):
-                status, rank, payload = outq.get(timeout=join_timeout)
-                if status == "ok":
-                    pes.append(MpPeStats(**payload))
-                else:
-                    errors.append(f"PE {rank}:\n{payload}")
-        except BaseException:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            raise
-        wall = time.perf_counter() - t0
-        for p in procs:
-            p.join(timeout=join_timeout)
-            if p.is_alive():
-                p.terminate()
-                errors.append("PE process failed to exit after reporting")
-        if errors:
-            raise RuntimeError("mp run failed:\n" + "\n".join(errors))
-
-        pes.sort(key=lambda s: s.rank)
+    with _MpJob(impl, npes, capacity, wpt) as job:
+        if crash is not None and crash.active:
+            return _run_mp_crash(job, workload, wl, wpt, nseed, seed,
+                                 damping, join_timeout, crash)
+        job.launch(wl, seed, damping, created=nseed)
+        wall = job.collect(join_timeout, "mp run failed")
         result = MpRunResult(
             workload=workload,
             impl=impl,
             npes=npes,
             seed=seed,
-            created=heap.ref(ctl["created"]).load(),
-            completed=heap.ref(ctl["completed"]).load(),
+            created=job.word("created").load(),
+            completed=job.word("completed").load(),
             wall_s=wall,
-            pes=pes,
+            pes=job.pe_stats(),
         )
-        if verify:
-            if workload == "synthetic":
-                exp_n, exp_chk = synthetic_expected(ntasks)
-            else:
-                exp_n, exp_chk = uts_expected(wl[1])
-            result.expected_executed = exp_n
-            result.expected_checksum = exp_chk
-        return result
-    finally:
-        # Teardown must run even when a PE died abnormally: kill any
-        # stragglers *before* unlinking so no live mapping outlasts the
-        # segment, then destroy it exactly once (unlink is idempotent).
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=5)
-        heap.close()
-        heap.unlink()
+    if verify:
+        if workload == "synthetic":
+            exp_n, exp_chk = synthetic_expected(ntasks)
+        else:
+            exp_n, exp_chk = uts_expected(wl[1])
+        result.expected_executed = exp_n
+        result.expected_checksum = exp_chk
+    return result
 
 
 def _sweep_quiescent(heap, layouts, impl, regions, live_ranks):
@@ -834,25 +849,14 @@ def _sweep_quiescent(heap, layouts, impl, regions, live_ranks):
     )
     for r in live_ranks:
         pe = regions.bind(heap, r)
-        if pe.inbox.pending() or len(pe.ring):
+        if (pe.inbox.pending() or len(pe.ring)
+                or _shared_work_test(impl, heap, layouts[r])()):
             return False, None
-        if impl == "sws":
-            view = StealValEpoch.unpack(
-                heap.ref(layouts[r].stealval).load_seq()
-            )
-            if DampingTracker.view_has_work(view):
-                return False, None
-        else:
-            if (heap.ref(layouts[r].split).load_seq()
-                    - heap.ref(layouts[r].tail).load_seq() > 0):
-                return False, None
     return True, acts
 
 
-def _run_mp_crash(
-    workload, impl, npes, *, wl, wpt, capacity, nseed, seed, damping,
-    join_timeout, crash,
-) -> MpRunResult:
+def _run_mp_crash(job, workload, wl, wpt, nseed, seed, damping,
+                  join_timeout, crash) -> MpRunResult:
     """Crash-tolerant mp run: workers + a scavenging supervisor.
 
     The supervisor watches process liveness (and heartbeat words for
@@ -862,8 +866,6 @@ def _run_mp_crash(
     Termination is a stop word raised once ``STABLE_SWEEPS`` consecutive
     sweeps observe global quiescence.
     """
-    from queue import Empty as _QueueEmpty
-
     # The sequential oracle runs up front: duplicate-aware accounting
     # needs the expected set anyway, and its size bounds the shared
     # rings and fingerprint logs.
@@ -872,194 +874,132 @@ def _run_mp_crash(
     else:
         exp_n, exp_chk = uts_expected(wl[1])
 
-    ctx = _preferred_context()
-    heap = MpHeap(ctx=ctx)
-    layout_cls = SwsQueueLayout if impl == "sws" else SdcQueueLayout
-    layouts = [
-        layout_cls.reserve(heap, f"pe{r}", capacity, words_per_task=wpt)
-        for r in range(npes)
-    ]
-    alloc = SymmetricAllocator(heap, "ctl")
-    ctl = {"created": alloc.word("created"), "completed": alloc.word("completed")}
-    alloc.commit()
+    heap, layouts, impl, procs = job.heap, job.layouts, job.impl, job.procs
+    failed = "mp crash run failed"
     regions = CrashRegions.reserve(
-        heap, npes, wpt,
+        heap, job.npes, wpt,
         ring_cap=2 * exp_n + 64,
         xlog_cap=2 * exp_n + 64,
         inbox_cap=exp_n + 64,
     )
-    heap.freeze()
-    procs: dict[int, object] = {}
-    try:
-        heap.ref(ctl["created"]).store(nseed)
-        outq = ctx.Queue()
+    job.launch(wl, seed, damping, created=nseed,
+               crash=(crash, regions, True))
 
-        def spawn(r, plan, fresh):
-            p = ctx.Process(
-                target=_pe_main_crash,
-                args=(r, npes, heap, layouts, impl, wl, ctl, seed,
-                      damping, plan, regions, fresh, outq),
-                daemon=True,
-            )
-            p.start()
-            return p
+    crashed: list[int] = []
+    respawned: list[int] = []
+    scavenged: Counter = Counter()
+    recovery_wall = 0.0
+    dead_flags = heap.slice(regions.dead)
+    stop = heap.ref(regions.stop)
+    stable = 0
+    prev_acts = None
+    inject_rr = 0
+    accounted: set[int] = set()
+    deadline = time.monotonic() + join_timeout
 
-        t0 = time.perf_counter()
-        for r in range(npes):
-            procs[r] = spawn(r, crash, True)
+    # -- supervision loop ---------------------------------------------
+    while True:
+        job.drain()
+        job.check(failed)
+        for r, p in list(procs.items()):
+            if p.is_alive() or r in accounted:
+                continue
+            accounted.add(r)
+            if p.exitcode == 0:
+                continue            # clean exit; stats via outq
+            # Fail-stop detected: quarantine, repair, scavenge.
+            t1 = time.perf_counter()
+            crashed.append(r)
+            dead_flags[r].store(1)
+            heap.words.break_dead_leases()
+            tasks, breakdown = scavenge_rank(heap, layouts, impl, regions, r)
+            scavenged.update(breakdown)
+            # The dead incarnation's durable accounting: its fingerprint
+            # log (a respawn appends after this point, so the two
+            # incarnations never overlap).
+            fps = regions.bind(heap, r).xlog.read_all()
+            chk = 0
+            for f in fps:
+                chk ^= f
+            job.reports.append({"rank": r, "executed": len(fps),
+                                "checksum": chk})
+            if tasks:
+                live = [x for x, pp in procs.items() if pp.is_alive()]
+                if not live:
+                    raise MpStallError(
+                        "every PE died; orphan work cannot be re-injected"
+                    )
+                target = live[inject_rr % len(live)]
+                inject_rr += 1
+                regions.bind(heap, target).inbox.post(tasks)
+            if crash.respawn:
+                dead_flags[r].store(0)
+                job.spawn(r, crash=(NO_CRASHES, regions, False))
+                accounted.discard(r)
+                respawned.append(r)
+            recovery_wall += time.perf_counter() - t1
+            stable, prev_acts = 0, None
+        live_ranks = [r for r, p in procs.items() if p.is_alive()]
+        if not live_ranks:
+            break                  # everyone exited (or crashed out)
+        quiet, acts = _sweep_quiescent(heap, layouts, impl, regions,
+                                       live_ranks)
+        if quiet and acts == prev_acts:
+            stable += 1
+            if stable >= STABLE_SWEEPS:
+                stop.store(1)
+                break
+        else:
+            stable = 0
+        prev_acts = acts
+        if time.monotonic() > deadline:
+            raise MpStallError("crash-mode supervisor saw no quiescence",
+                               waited_s=join_timeout)
+        time.sleep(0.02)
 
-        pes: list[MpPeStats] = []
-        errors: list[str] = []
-        crashed: list[int] = []
-        respawned: list[int] = []
-        scavenged: Counter = Counter()
-        recovery_wall = 0.0
-        dead_flags = heap.slice(regions.dead)
-        stop = heap.ref(regions.stop)
-        stable = 0
-        prev_acts = None
-        inject_rr = 0
-        accounted: set[int] = set()
-        deadline = time.monotonic() + join_timeout
+    # -- shutdown: collect the survivors ------------------------------
+    while any(p.is_alive() for p in procs.values()):
+        job.drain()
+        job.check(failed)
+        if time.monotonic() > deadline:
+            raise MpStallError("PE processes failed to exit after stop",
+                               waited_s=join_timeout)
+        time.sleep(0.01)
+    job.drain()
+    job.check(failed)
+    wall = time.perf_counter() - job.t0
 
-        def drain_outq() -> None:
-            while True:
-                try:
-                    status, r, payload = outq.get_nowait()
-                except _QueueEmpty:
-                    return
-                if status == "ok":
-                    pes.append(MpPeStats(**payload))
-                else:
-                    errors.append(f"PE {r}:\n{payload}")
+    # -- duplicate-aware accounting from the fingerprint logs ----------
+    all_fps: list[int] = []
+    for r in range(job.npes):
+        all_fps.extend(regions.bind(heap, r).xlog.read_all())
+    counts = Counter(all_fps)
+    unique_chk = 0
+    for f in counts:
+        unique_chk ^= f
+    multiplicity = dict(sorted(Counter(counts.values()).items()))
 
-        # -- supervision loop -----------------------------------------
-        while True:
-            drain_outq()
-            if errors:
-                raise RuntimeError(
-                    "mp crash run failed:\n" + "\n".join(errors)
-                )
-            for r, p in list(procs.items()):
-                if p.is_alive() or r in accounted:
-                    continue
-                accounted.add(r)
-                if p.exitcode == 0:
-                    continue            # clean exit; stats via outq
-                # Fail-stop detected: quarantine, repair, scavenge.
-                t1 = time.perf_counter()
-                crashed.append(r)
-                dead_flags[r].store(1)
-                heap.words.break_dead_leases()
-                tasks, breakdown = scavenge_rank(
-                    heap, layouts, impl, regions, r
-                )
-                scavenged.update(breakdown)
-                # The dead incarnation's durable accounting: its
-                # fingerprint log (a respawn appends after this point,
-                # so the two incarnations never overlap).
-                fps = regions.bind(heap, r).xlog.read_all()
-                chk = 0
-                for f in fps:
-                    chk ^= f
-                pes.append(MpPeStats(rank=r, executed=len(fps),
-                                     checksum=chk))
-                if tasks:
-                    live = [x for x, pp in procs.items() if pp.is_alive()]
-                    if not live:
-                        raise MpStallError(
-                            "every PE died; orphan work cannot be "
-                            "re-injected"
-                        )
-                    target = live[inject_rr % len(live)]
-                    inject_rr += 1
-                    regions.bind(heap, target).inbox.post(tasks)
-                if crash.respawn:
-                    dead_flags[r].store(0)
-                    procs[r] = spawn(r, NO_CRASHES, False)
-                    accounted.discard(r)
-                    respawned.append(r)
-                recovery_wall += time.perf_counter() - t1
-                stable, prev_acts = 0, None
-            live_ranks = [r for r, p in procs.items() if p.is_alive()]
-            if not live_ranks:
-                break                  # everyone exited (or crashed out)
-            quiet, acts = _sweep_quiescent(
-                heap, layouts, impl, regions, live_ranks
-            )
-            if quiet and acts == prev_acts:
-                stable += 1
-                if stable >= STABLE_SWEEPS:
-                    stop.store(1)
-                    break
-            else:
-                stable = 0
-            prev_acts = acts
-            if time.monotonic() > deadline:
-                raise MpStallError(
-                    "crash-mode supervisor saw no quiescence",
-                    waited_s=join_timeout,
-                )
-            time.sleep(0.02)
-
-        # -- shutdown: collect the survivors --------------------------
-        while any(p.is_alive() for p in procs.values()):
-            drain_outq()
-            if errors:
-                raise RuntimeError(
-                    "mp crash run failed:\n" + "\n".join(errors)
-                )
-            if time.monotonic() > deadline:
-                raise MpStallError(
-                    "PE processes failed to exit after stop",
-                    waited_s=join_timeout,
-                )
-            time.sleep(0.01)
-        drain_outq()
-        if errors:
-            raise RuntimeError("mp crash run failed:\n" + "\n".join(errors))
-        wall = time.perf_counter() - t0
-
-        # -- duplicate-aware accounting from the fingerprint logs ------
-        all_fps: list[int] = []
-        for r in range(npes):
-            all_fps.extend(regions.bind(heap, r).xlog.read_all())
-        counts = Counter(all_fps)
-        unique_chk = 0
-        for f in counts:
-            unique_chk ^= f
-        multiplicity = dict(sorted(Counter(counts.values()).items()))
-
-        pes.sort(key=lambda s: s.rank)
-        return MpRunResult(
-            workload=workload,
-            impl=impl,
-            npes=npes,
-            seed=seed,
-            created=heap.ref(ctl["created"]).load(),
-            completed=heap.ref(ctl["completed"]).load(),
-            wall_s=wall,
-            pes=pes,
-            expected_executed=exp_n,
-            expected_checksum=exp_chk,
-            at_least_once=True,
-            crashed_ranks=crashed,
-            respawned_ranks=respawned,
-            scavenged=dict(scavenged),
-            lease_breaks=heap.words.repairs_total(),
-            recovery_wall_s=recovery_wall,
-            executed_unique=len(counts),
-            unique_checksum=unique_chk,
-            multiplicity=multiplicity,
-        )
-    finally:
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-        for p in procs.values():
-            p.join(timeout=5)
-        heap.close()
-        heap.unlink()
+    return MpRunResult(
+        workload=workload,
+        impl=impl,
+        npes=job.npes,
+        seed=seed,
+        created=job.word("created").load(),
+        completed=job.word("completed").load(),
+        wall_s=wall,
+        pes=job.pe_stats(),
+        expected_executed=exp_n,
+        expected_checksum=exp_chk,
+        at_least_once=True,
+        crashed_ranks=crashed,
+        respawned_ranks=respawned,
+        scavenged=dict(scavenged),
+        lease_breaks=heap.words.repairs_total(),
+        recovery_wall_s=recovery_wall,
+        executed_unique=len(counts),
+        unique_checksum=unique_chk,
+        multiplicity=multiplicity,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1069,8 +1009,8 @@ def _run_mp_crash(
 # trace (in arrival order) into per-rank SPSC inboxes, bumping the
 # global ``created`` counter *before* each post so the created/completed
 # books can never balance while an injection is still in flight.  PEs
-# drain their inbox into the local deque and otherwise run the classic
-# share/steal loop; each record carries ``(seq, post_ns)`` so completion
+# run the one loop with the feed hook draining their inbox into the
+# local deque; each record carries ``(seq, post_ns)`` so completion
 # latency survives steals.  Termination: the feeder sets ``closed`` after
 # the last post, and a starved PE exits once ``closed`` is set and
 # ``completed == created`` (completed read first, as ever).
@@ -1141,166 +1081,6 @@ def _serve_inbox(heap, region) -> ShmInbox:
     return ShmInbox(heap, rd, wr, buf, capacity, _SERVE_WPT)
 
 
-def _pe_main_serve(
-    rank, npes, heap, layouts, inbox_regions, impl, ctl, seed, damping,
-    slo_ns, outq
-) -> None:
-    try:
-        payload = _pe_loop_serve(
-            rank, npes, heap, layouts, inbox_regions, impl, ctl, seed,
-            damping, slo_ns
-        )
-        outq.put(("ok", rank, payload))
-    except BaseException:
-        import traceback
-
-        outq.put(("error", rank, traceback.format_exc()))
-
-
-def _pe_loop_serve(
-    rank, npes, heap, layouts, inbox_regions, impl, ctl, seed, damping,
-    slo_ns
-) -> dict:
-    from ..runtime.stats import QuantileSketch
-
-    created = heap.ref(ctl["created"])
-    completed = heap.ref(ctl["completed"])
-    closed = heap.ref(ctl["closed"])
-    owner = layouts[rank].owner(heap)
-    inbox = _serve_inbox(heap, inbox_regions[rank])
-    thieves = {
-        v: layouts[v].thief(heap) for v in range(npes) if v != rank
-    }
-    rng = random.Random((seed * 1_000_003) ^ rank)
-    tracker = DampingTracker(npes, enabled=damping and impl == "sws")
-    stats = MpPeStats(rank=rank)
-    local: deque = deque()
-    sketch = QuantileSketch()
-    slo_attained = 0
-
-    sv_cache = [None, False]
-
-    def shared_has_work() -> bool:
-        if impl == "sws":
-            raw = owner.stealval.load_seq()
-            if raw != sv_cache[0]:
-                sv_cache[0] = raw
-                sv_cache[1] = DampingTracker.view_has_work(
-                    StealValEpoch.unpack(raw)
-                )
-            return sv_cache[1]
-        return owner.split.load_seq() - owner.tail.load_seq() > 0
-
-    def reclaim() -> int:
-        kept = owner.take_kept()
-        local.extend(kept)
-        return len(kept)
-
-    def try_share() -> None:
-        if (
-            len(local) < RELEASE_MIN
-            or owner.nfilled >= owner.capacity
-            or shared_has_work()
-        ):
-            return
-        n = len(local) // 2
-        batch = [local.popleft() for _ in range(n)]
-        pushed = owner.push_all(batch)
-        for payload in reversed(batch[pushed:]):
-            local.appendleft(payload)
-        if pushed:
-            owner.release(pushed)
-            stats.releases += 1
-            reclaim()
-
-    def try_steal_from(victim: int) -> bool:
-        thief = thieves[victim]
-        if impl == "sws":
-            if tracker.mode(victim) is TargetMode.EMPTY:
-                view = StealValEpoch.unpack(thief.probe())
-                tracker.note_probe(victim, DampingTracker.view_has_work(view))
-                if tracker.mode(victim) is TargetMode.EMPTY:
-                    return False
-            res = thief.steal()
-            if res.claimed:
-                status = StealStatus.STOLEN
-                tracker.note_success(victim)
-            elif res.aborted_locked:
-                status = StealStatus.DISABLED
-            else:
-                status = StealStatus.EMPTY
-                tracker.note_failed_claim(victim, res.view)
-        else:
-            res = thief.steal(max_spins=200)
-            if res.claimed:
-                status = StealStatus.STOLEN
-            elif res.empty:
-                status = StealStatus.EMPTY
-            else:
-                status = StealStatus.LOCKED_ABORT
-        stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
-        if res.claimed:
-            stats.steal_volumes.append(len(res.claimed))
-            local.extend(res.claimed)
-            return True
-        return False
-
-    done_pending = 0
-
-    def _idle_stall() -> bool:
-        if heap.words.break_dead_leases():
-            return True
-        raise MpStallError("serving PE idle loop made no progress",
-                           rank=rank, waited_s=MP_IDLE_STALL_S)
-
-    idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
-                   deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
-    while True:
-        if local:
-            payload = local.pop()
-            seq, post_ns = payload
-            lat = time.monotonic_ns() - post_ns
-            sketch.add(lat)
-            if slo_ns and lat <= slo_ns:
-                slo_attained += 1
-            done_pending += 1
-            stats.executed += 1
-            stats.checksum ^= _mix64(seq)
-            try_share()
-            continue
-        if done_pending:
-            completed.fetch_add(done_pending)
-            done_pending = 0
-        fresh = inbox.drain()
-        if fresh:
-            local.extend(fresh)
-            idle.reset()
-            continue
-        owner.acquire()
-        stats.acquires += 1
-        if reclaim():
-            idle.reset()
-            continue
-        order = rng.sample(sorted(thieves), len(thieves))
-        if any(try_steal_from(v) for v in order):
-            idle.reset()
-            continue
-        if closed.load_seq():
-            done = completed.load_seq()
-            if done == created.load_seq():
-                break
-        idle.wait()
-
-    stats.probes = tracker.stats.probes
-    stats.probe_aborts = tracker.stats.probe_aborts
-    stats.demotions = tracker.stats.demotions
-    stats.promotions = tracker.stats.promotions
-    payload = stats.__dict__
-    payload["serve_sketch"] = sketch.to_dict()
-    payload["serve_slo_attained"] = slo_attained
-    return payload
-
-
 def run_mp_serve(
     arrival="poisson:50000",
     duration_s: float = 2e-3,
@@ -1325,6 +1105,11 @@ def run_mp_serve(
     2-word task record.  No shedding on this substrate — every emitted
     arrival is injected, so ``checksum`` must equal the fabric/threads
     serving checksum for the same trace length.
+
+    A rank's share of a batch is posted in chunks of at most
+    ``inbox_cap`` records.  A chunk that finds no room within
+    ``join_timeout`` seconds, or whose PE has exited, raises
+    :class:`MpStallError` naming the rank.
     """
     from ..runtime.arrivals import parse_arrival_spec
     from ..runtime.stats import QuantileSketch, ServingStats
@@ -1333,6 +1118,10 @@ def run_mp_serve(
         raise ValueError(f"impl must be sws|sdc, got {impl!r}")
     if npes < 2:
         raise ValueError(f"npes must be >= 2, got {npes}")
+    for name, value in (("nbatches", nbatches), ("inbox_cap", inbox_cap),
+                        ("capacity", capacity)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:
@@ -1342,46 +1131,32 @@ def run_mp_serve(
     inbox_cap = inbox_cap or max(64, capacity)
     slo_ns = int(slo_s * 1e9)
 
-    ctx = _preferred_context()
-    heap = MpHeap(ctx=ctx)
-    layout_cls = SwsQueueLayout if impl == "sws" else SdcQueueLayout
-    layouts = [
-        layout_cls.reserve(heap, f"pe{r}", capacity,
-                           words_per_task=_SERVE_WPT)
-        for r in range(npes)
-    ]
-    inbox_regions = [
-        _reserve_serve_inbox(heap, r, inbox_cap) for r in range(npes)
-    ]
-    alloc = SymmetricAllocator(heap, "ctl")
-    ctl = {
-        "created": alloc.word("created"),
-        "completed": alloc.word("completed"),
-        "closed": alloc.word("closed"),
-    }
-    alloc.commit()
-    heap.freeze()
-    procs: list = []
-    try:
-        created = heap.ref(ctl["created"])
-        closed = heap.ref(ctl["closed"])
-        outq = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_pe_main_serve,
-                args=(r, npes, heap, layouts, inbox_regions, impl, ctl,
-                      seed, damping, slo_ns, outq),
-                daemon=True,
-            )
-            for r in range(npes)
+    with _MpJob(impl, npes, capacity, _SERVE_WPT,
+                ("created", "completed", "closed")) as job:
+        inbox_regions = [
+            _reserve_serve_inbox(job.heap, r, inbox_cap) for r in range(npes)
         ]
-        t0 = time.perf_counter()
-        for p in procs:
-            p.start()
+        job.launch(("serve", slo_ns), seed, damping, inboxes=inbox_regions)
+        created = job.word("created")
+        inboxes = [_serve_inbox(job.heap, reg) for reg in inbox_regions]
+
+        def post(r: int, records: list) -> None:
+            t_post = time.monotonic()
+            while True:
+                try:
+                    inboxes[r].post(records)
+                    return
+                except RingOverflowError:
+                    waited = time.monotonic() - t_post
+                    if waited > join_timeout or not job.procs[r].is_alive():
+                        raise MpStallError(
+                            "serving feeder found the inbox full",
+                            rank=r, waited_s=waited,
+                        ) from None
+                    time.sleep(1e-4)
 
         # -- the feeder: replay the trace in batches, round-robin ------
-        inboxes = [_serve_inbox(heap, reg) for reg in inbox_regions]
-        batch = max(1, (n + nbatches - 1) // nbatches) if n else 0
+        batch = -(-n // nbatches)
         injected = 0
         while injected < n:
             seqs = range(injected, min(n, injected + batch))
@@ -1390,75 +1165,40 @@ def run_mp_serve(
                 by_rank.setdefault(s % npes, []).append(s)
             for r in sorted(by_rank):
                 group = by_rank[r]
-                # Count first: the books cannot balance while the post
-                # is still in flight, so no PE exits early.
-                created.fetch_add(len(group))
-                stamp = time.monotonic_ns()
-                records = [(s, stamp) for s in group]
-                while True:
-                    try:
-                        inboxes[r].post(records)
-                        break
-                    except RingOverflowError:
-                        time.sleep(1e-4)
+                for i in range(0, len(group), inbox_cap):
+                    chunk = group[i:i + inbox_cap]
+                    # Count first: the books cannot balance while the
+                    # post is still in flight, so no PE exits early.
+                    created.fetch_add(len(chunk))
+                    stamp = time.monotonic_ns()
+                    post(r, [(s, stamp) for s in chunk])
             injected += len(seqs)
             time.sleep(pace_s)
-        closed.store(1)
+        job.word("closed").store(1)
 
-        pes: list[MpPeStats] = []
-        errors: list[str] = []
+        wall = job.collect(join_timeout, "mp serve run failed")
         sketch = QuantileSketch()
         slo_attained = 0
-        try:
-            for _ in range(npes):
-                status, rank, payload = outq.get(timeout=join_timeout)
-                if status == "ok":
-                    sk = payload.pop("serve_sketch")
-                    slo_attained += payload.pop("serve_slo_attained")
-                    sketch.merge(QuantileSketch.from_dict(sk))
-                    pes.append(MpPeStats(**payload))
-                else:
-                    errors.append(f"PE {rank}:\n{payload}")
-        except BaseException:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            raise
-        wall = time.perf_counter() - t0
-        for p in procs:
-            p.join(timeout=join_timeout)
-            if p.is_alive():
-                p.terminate()
-                errors.append("PE process failed to exit after reporting")
-        if errors:
-            raise RuntimeError("mp serve run failed:\n" + "\n".join(errors))
-
-        pes.sort(key=lambda s: s.rank)
+        for p in job.reports:
+            sketch.merge(QuantileSketch.from_dict(p.pop("serve_sketch")))
+            slo_attained += p.pop("serve_slo_attained")
         result = MpServeResult(
             impl=impl,
             npes=npes,
             seed=seed,
             created=created.load(),
-            completed=heap.ref(ctl["completed"]).load(),
+            completed=job.word("completed").load(),
             wall_s=wall,
-            pes=pes,
+            pes=job.pe_stats(),
         )
-        result.serving = ServingStats(
-            emitted=n,
-            injected=injected,
-            shed=0,
-            completed=result.completed,
-            slo_ticks=slo_ns,
-            slo_attained=slo_attained,
-            checksum=result.checksum,
-            latency=sketch,
-        )
-        return result
-    finally:
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=5)
-        heap.close()
-        heap.unlink()
+    result.serving = ServingStats(
+        emitted=n,
+        injected=injected,
+        shed=0,
+        completed=result.completed,
+        slo_ticks=slo_ns,
+        slo_attained=slo_attained,
+        checksum=result.checksum,
+        latency=sketch,
+    )
+    return result

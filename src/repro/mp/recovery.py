@@ -135,6 +135,19 @@ class ShmRing:
         self._tail -= 1
         self._tail_w.store(self._tail)
 
+    #: Called with each record :meth:`pop` is about to remove: the
+    #: owning PE's in-flight journal write (set by :class:`PeRegions`).
+    journal = None
+
+    def pop(self):
+        """Remove the newest record for execution, journaling it first:
+        a crash between the journal write and the tail retreat
+        duplicates the record, at worst."""
+        payload = self.peek_right()
+        self.journal(payload)
+        self.drop_right()
+        return payload
+
     def peek_left_block(self, count: int) -> list:
         """Read the ``count`` oldest records without removing them."""
         count = min(count, len(self))
@@ -336,6 +349,7 @@ class PeRegions:
         self._iflag = heap.ref(regions.inflight_flag[rank])
         self._ibuf = heap.slice(regions.inflight_buf[rank])
         self._icodec = RecordCodec(regions.words_per_task)
+        self.ring.journal = self.inflight_write
         self._intent = heap.slice(regions.intent[rank])
         self.xlog = ShmXlog(
             heap, regions.xlog_cnt[rank], regions.xlog_buf[rank],

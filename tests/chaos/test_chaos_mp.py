@@ -18,21 +18,17 @@ contract:
 
 from __future__ import annotations
 
-import glob
-
 import pytest
 
 from repro.mp.driver import run_mp
 from repro.mp.faults import CrashKill, CrashPlan
 
+from ..conftest import leaked_segments
+
 pytestmark = [pytest.mark.chaos, pytest.mark.mp, pytest.mark.timeout(300)]
 
 NPES = 4
 NTASKS = 800
-
-
-def _leaked_segments() -> set[str]:
-    return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/wnsm_*"))
 
 
 def _assert_recovered(result, nkills: int) -> None:
@@ -54,7 +50,7 @@ class TestKillMatrix:
     @pytest.mark.parametrize("impl", ["sws", "sdc"])
     @pytest.mark.parametrize("point", ["exec", "steal", "lock"])
     def test_single_kill(self, impl, point):
-        before = _leaked_segments()
+        before = leaked_segments()
         result = run_mp(
             "synthetic", impl, NPES, ntasks=NTASKS,
             crash=CrashPlan(kills=(CrashKill(1, 5, point),)),
@@ -68,7 +64,7 @@ class TestKillMatrix:
         if point == "lock":
             # the stripe the victim died holding must have been repaired
             assert result.lease_breaks >= 1
-        assert _leaked_segments() == before  # no shm leak
+        assert leaked_segments() == before  # no shm leak
 
     @pytest.mark.parametrize("impl", ["sws", "sdc"])
     def test_kill_on_uts(self, impl):
@@ -123,9 +119,9 @@ class TestNoCrashPlanIsInert:
         assert result.lease_breaks == 0
 
     def test_segment_destroyed_after_crash_run(self):
-        before = _leaked_segments()
+        before = leaked_segments()
         run_mp(
             "synthetic", "sws", NPES, ntasks=NTASKS,
             crash=CrashPlan(kills=(CrashKill(1, 3, "exec"),), respawn=True),
         )
-        assert _leaked_segments() == before
+        assert leaked_segments() == before

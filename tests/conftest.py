@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import signal
 
 import pytest
@@ -51,6 +52,11 @@ def make_system(impl: str, npes: int = 2, latency=TEST_LAT, **cfg_kwargs):
     ctx = ShmemCtx(npes, latency=latency)
     cls = SwsQueueSystem if impl == "sws" else SdcQueueSystem
     return ctx, cls(ctx, cfg)
+
+
+def leaked_segments() -> set[str]:
+    """Shared-memory segments now in /dev/shm (mp leak checks)."""
+    return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/wnsm_*"))
 
 
 def rec(i: int, size: int = 16) -> bytes:

@@ -9,10 +9,23 @@ double-executed or dropped task cannot hide behind a matching total.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.mp.driver import run_mp, synthetic_expected, uts_expected
+from repro.mp import driver
+from repro.mp.driver import (
+    run_mp,
+    run_mp_serve,
+    synthetic_expected,
+    uts_expected,
+)
+from repro.mp.errors import MpStallError
+from repro.runtime.arrivals import serving_checksum
 from repro.workloads.uts import get_tree
+
+from .conftest import leaked_segments
 
 pytestmark = [pytest.mark.mp, pytest.mark.timeout(180)]
 
@@ -96,3 +109,69 @@ def test_rejects_bad_arguments():
         run_mp("nope", "sws", 4)
     with pytest.raises(ValueError):
         run_mp("synthetic", "sws", 0)
+
+
+# ----------------------------------------------------------------------
+# Serving mode: the feeder and its argument checks
+# ----------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patching the PE body reaches the children only through fork",
+)
+
+
+def _never_drains(*args, **kwargs):
+    time.sleep(60)
+
+
+def _dies_at_start(*args, **kwargs):
+    raise RuntimeError("PE died before draining its inbox")
+
+
+def test_serve_completes_and_leaks_no_segment():
+    before = leaked_segments()
+    res = run_mp_serve("poisson:2000000", 2e-4, impl="sdc", npes=3, seed=7)
+    s = res.serving
+    assert s.emitted == s.injected == s.completed == res.created
+    assert s.checksum == serving_checksum(range(s.emitted))
+    assert leaked_segments() == before
+
+
+@pytest.mark.timeout(60)
+def test_serve_posts_batches_larger_than_the_inbox_in_chunks():
+    # One batch of ~50 records per rank against a 2-record inbox: the
+    # feeder used to retry the whole group forever.
+    res = run_mp_serve("poisson:50000", 2e-3, npes=2, inbox_cap=2,
+                       nbatches=1, join_timeout=5)
+    s = res.serving
+    assert s.emitted > 2 * 2
+    assert s.injected == s.completed == s.emitted
+    assert s.checksum == serving_checksum(range(s.emitted))
+
+
+@needs_fork
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("body", [_never_drains, _dies_at_start],
+                         ids=["stuck", "dead"])
+def test_serve_feeder_names_the_rank_it_cannot_feed(monkeypatch, body):
+    monkeypatch.setattr(driver, "_pe_loop", body)
+    before = leaked_segments()
+    t0 = time.monotonic()
+    with pytest.raises(MpStallError) as exc:
+        run_mp_serve("poisson:50000", 2e-3, npes=2, inbox_cap=1,
+                     join_timeout=1.0)
+    assert exc.value.rank == 0
+    assert time.monotonic() - t0 < 30
+    assert leaked_segments() == before
+
+
+def test_serve_rejects_bad_arguments(monkeypatch):
+    def no_heap(*args, **kwargs):
+        raise AssertionError("a heap was allocated before validation")
+
+    monkeypatch.setattr(driver, "MpHeap", no_heap)
+    for kwargs in ({"impl": "nope"}, {"npes": 1}, {"nbatches": 0},
+                   {"inbox_cap": 0}, {"capacity": 0}):
+        with pytest.raises(ValueError):
+            run_mp_serve("poisson:50000", 2e-3, **kwargs)
