@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 _U64_MASK = (1 << 64) - 1
 _WORD = struct.Struct("<Q")
+_UNPACK_WORD = _WORD.unpack_from
 _PAIR = struct.Struct("<QQ")
 WORD_BYTES = _WORD.size
 
@@ -629,19 +630,40 @@ class ShmWords:
 
 
 class WordRef:
-    """One shared word behind the :class:`AtomicWord64` interface."""
+    """One shared word behind the :class:`AtomicWord64` interface.
 
-    __slots__ = ("_words", "_index")
+    The handle precomputes its word's data and sequence offsets and the
+    segment buffer, so :meth:`load_seq` takes its first sample inline.
+    """
+
+    __slots__ = ("_words", "_index", "_buf", "_off", "_soff")
 
     def __init__(self, words: ShmWords, index: int) -> None:
         self._words = words
         self._index = index
+        self._buf = words._shm.buf
+        self._off = index * WORD_BYTES
+        self._soff = words._seq_base + self._off
+
+    def __reduce__(self):
+        return WordRef, (self._words, self._index)
 
     def load(self) -> int:
         return self._words.load(self._index)
 
     def load_seq(self) -> int:
-        """Lock-free seqlock read (see :meth:`ShmWords.load_seq`)."""
+        """Lock-free seqlock read (see :meth:`ShmWords.load_seq`).
+
+        The first ``seq / data / seq`` sample runs here; an odd or
+        changed sequence falls through to the full read, with its
+        retries, lease repair and stall bound.
+        """
+        buf = self._buf
+        s0 = _UNPACK_WORD(buf, self._soff)[0]
+        if not s0 & 1:
+            value = _UNPACK_WORD(buf, self._off)[0]
+            if _UNPACK_WORD(buf, self._soff)[0] == s0:
+                return value
         return self._words.load_seq(self._index)
 
     def store(self, value: int) -> None:

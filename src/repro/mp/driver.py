@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import random
+import struct
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ from ..core.results import StealStatus
 from ..core.stealval import StealValEpoch
 from ..shmem.heap import SymmetricAllocator
 from ..threads.protocol import Backoff
-from ..workloads.uts import UtsParams, expand, get_tree
+from ..workloads.uts import STATE_BYTES, UtsParams, expander, get_tree
 from .atomics import _preferred_context, pid_alive
 from .errors import MpStallError, RingOverflowError
 from .faults import CrashInjector, CrashPlan, NO_CRASHES
@@ -84,25 +85,22 @@ def _mix64(x: int) -> int:
 # Task codecs: workload payloads <-> tuples of 64-bit words
 # ----------------------------------------------------------------------
 
+#: A UTS node's 20-byte state as words 0-2 (little-endian u64, u64, u32).
+_UTS_STATE = struct.Struct("<QQI")
+
+
 def encode_uts(state: bytes, depth: int, is_root: bool) -> tuple[int, int, int, int]:
     """Pack a UTS node (20-byte SHA-1 state + depth + root flag) into 4 words."""
-    return (
-        int.from_bytes(state[0:8], "little"),
-        int.from_bytes(state[8:16], "little"),
-        int.from_bytes(state[16:20], "little"),
-        depth | (int(is_root) << 32),
-    )
+    if len(state) != STATE_BYTES:
+        raise ValueError(f"state must be {STATE_BYTES} bytes, got {len(state)}")
+    return (*_UTS_STATE.unpack(state), depth | (int(is_root) << 32))
 
 
 def decode_uts(words) -> tuple[bytes, int, bool]:
     """Inverse of :func:`encode_uts`."""
     w0, w1, w2, w3 = words
-    state = (
-        w0.to_bytes(8, "little")
-        + w1.to_bytes(8, "little")
-        + (w2 & 0xFFFFFFFF).to_bytes(4, "little")
-    )
-    return state, w3 & 0xFFFFFFFF, bool(w3 >> 32)
+    return (_UTS_STATE.pack(w0, w1, w2 & 0xFFFFFFFF), w3 & 0xFFFFFFFF,
+            bool(w3 >> 32))
 
 
 def _fp_uts(words) -> int:
@@ -121,6 +119,7 @@ def uts_expected(params: UtsParams, max_nodes: int | None = 2_000_000) -> tuple[
     """(node count, xor-of-fingerprints) via a sequential DFS oracle."""
     count = 0
     chk = 0
+    children_of = expander(params)
     stack: list[tuple[bytes, int, bool]] = [(params.root(), 0, True)]
     while stack:
         state, depth, is_root = stack.pop()
@@ -128,7 +127,7 @@ def uts_expected(params: UtsParams, max_nodes: int | None = 2_000_000) -> tuple[
         if max_nodes is not None and count > max_nodes:
             raise RuntimeError(f"tree exceeded max_nodes={max_nodes}")
         chk ^= _fp_uts(encode_uts(state, depth, is_root))
-        for c in expand(params, state, depth, is_root):
+        for c in children_of(state, depth, is_root):
             stack.append((c, depth + 1, False))
     return count, chk
 
@@ -311,13 +310,19 @@ def _bind_workload(kind, arg):
         return range(arg), (lambda payload: ()), _mix64, None
     if kind == "uts":
         params = arg
+        children_of = expander(params)
+        pack, unpack = _UTS_STATE.pack, _UTS_STATE.unpack
 
         def execute(payload):
-            state, depth, is_root = decode_uts(payload)
-            return [
-                encode_uts(c, depth + 1, False)
-                for c in expand(params, state, depth, is_root)
-            ]
+            # decode_uts/encode_uts inlined: the words come from a
+            # 4-word record, so the state is 20 bytes by construction.
+            w0, w1, w2, w3 = payload
+            depth = w3 & 0xFFFFFFFF
+            kids = children_of(pack(w0, w1, w2 & 0xFFFFFFFF), depth, w3 >> 32)
+            if not kids:
+                return kids
+            d1 = depth + 1
+            return [(*unpack(c), d1) for c in kids]
 
         return [encode_uts(params.root(), 0, True)], execute, _fp_uts, None
     if kind == "serve":
@@ -356,11 +361,8 @@ def _shared_work_test(impl, heap, layout):
     if impl == "sws":
         stealval = heap.ref(layout.stealval)
         sv_cache = [None, False]
-    else:
-        split, tail = heap.ref(layout.split), heap.ref(layout.tail)
 
-    def shared_has_work() -> bool:
-        if impl == "sws":
+        def shared_has_work() -> bool:
             raw = stealval.load_seq()
             if raw != sv_cache[0]:
                 sv_cache[0] = raw
@@ -368,7 +370,11 @@ def _shared_work_test(impl, heap, layout):
                     StealValEpoch.unpack(raw)
                 )
             return sv_cache[1]
-        return split.load_seq() - tail.load_seq() > 0
+    else:
+        split, tail = heap.ref(layout.split), heap.ref(layout.tail)
+
+        def shared_has_work() -> bool:
+            return split.load_seq() - tail.load_seq() > 0
 
     return shared_has_work
 
@@ -521,11 +527,8 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
         local.extend(seed_tasks)
 
     def try_share() -> None:
-        if (
-            len(local) < RELEASE_MIN
-            or owner.nfilled >= owner.capacity
-            or shared_has_work()
-        ):
+        # The caller has checked len(local) >= RELEASE_MIN.
+        if owner.nfilled >= owner.capacity or shared_has_work():
             return
         batch = local.peek_left_block(len(local) // 2)
         pushed = owner.push_all(batch)
@@ -590,20 +593,24 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
 
     idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
                    deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
+    # Per-task counters live in locals and reach ``stats`` once, at exit.
+    executed = checksum = 0
+    pop, extend, release_min = local.pop, local.extend, RELEASE_MIN
     while True:
         if local:
-            payload = local.pop()         # crash mode: journaled first
+            payload = pop()               # crash mode: journaled first
             children = execute(payload)
             if children:
                 created.fetch_add(len(children))
-                local.extend(children)
+                extend(children)
             fp = fingerprint(payload)
             if cr is not None:
                 cr.executed(fp)
             done_pending += 1
-            stats.executed += 1
-            stats.checksum ^= fp
-            try_share()
+            executed += 1
+            checksum ^= fp
+            if len(local) >= release_min:
+                try_share()
             continue
         if done_pending:
             completed.fetch_add(done_pending)
@@ -637,6 +644,8 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
                 break
         idle.wait()
 
+    stats.executed = executed
+    stats.checksum = checksum
     stats.probes = tracker.stats.probes
     stats.probe_aborts = tracker.stats.probe_aborts
     stats.demotions = tracker.stats.demotions

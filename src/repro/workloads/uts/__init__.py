@@ -12,7 +12,15 @@ from .params import (
 )
 from .sequential import TreeStats, enumerate_tree
 from .sha1_rng import STATE_BYTES, rand31, root_state, spawn, to_prob
-from .tree import GeoShape, TreeType, UtsParams, branching_factor, expand, num_children
+from .tree import (
+    GeoShape,
+    TreeType,
+    UtsParams,
+    branching_factor,
+    expand,
+    expander,
+    num_children,
+)
 from .workload import PAPER_NODE_TIME, PAPER_TASK_SIZE, UtsWorkload, UtsWorkloadParams
 
 __all__ = [
@@ -24,6 +32,7 @@ __all__ = [
     "branching_factor",
     "num_children",
     "expand",
+    "expander",
     "enumerate_tree",
     "TreeStats",
     "root_state",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .tree import UtsParams, expand
+from .tree import UtsParams, expander
 
 
 @dataclass
@@ -35,6 +35,7 @@ def enumerate_tree(params: UtsParams, max_nodes: int | None = None) -> TreeStats
     hours.
     """
     stats = TreeStats()
+    children_of = expander(params)
     stack: list[tuple[bytes, int, bool]] = [(params.root(), 0, True)]
     while stack:
         state, depth, is_root = stack.pop()
@@ -46,7 +47,7 @@ def enumerate_tree(params: UtsParams, max_nodes: int | None = None) -> TreeStats
             )
         stats.max_depth = max(stats.max_depth, depth)
         stats.depth_histogram[depth] = stats.depth_histogram.get(depth, 0) + 1
-        children = expand(params, state, depth, is_root)
+        children = children_of(state, depth, is_root)
         if not children:
             stats.leaves += 1
         for c in children:

@@ -22,8 +22,9 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
-from .sha1_rng import root_state, to_prob
+from .sha1_rng import _TWO31, STATE_BYTES, root_state
 
 _CHILD_PACK = struct.Struct(">I").pack
 _SHA1 = hashlib.sha1
@@ -98,45 +99,77 @@ def branching_factor(params: UtsParams, depth: int) -> float:
     return params.b0 * (1.0 - depth / params.gen_mx)
 
 
-@lru_cache(maxsize=4096)
 def _geo_log1mp(params: UtsParams, depth: int) -> float:
-    """``log(1 - p)`` of the geometric draw at ``depth``; 0.0 = no children.
-
-    The branching factor — and thus ``p`` — is a pure function of
-    ``(params, depth)``, so the log is computed once per depth instead of
-    once per node (every node at a depth shares it).
-    """
+    """``log(1 - p)`` of the geometric draw at ``depth``; 0.0 = no children."""
     b = branching_factor(params, depth)
     if b <= 0.0:
         return 0.0
     return math.log(1.0 - 1.0 / (1.0 + b))
 
 
-def num_children(params: UtsParams, state: bytes, depth: int, is_root: bool) -> int:
-    """Deterministic child count of one node (the UTS expansion rule)."""
-    if params.tree_type is TreeType.GEO:
-        # Geometric draw with mean b: reference implementation formula.
-        log1mp = _geo_log1mp(params, depth)
+@lru_cache(maxsize=64)
+def expander(params: UtsParams) -> Callable[[bytes, int, bool], list[bytes]]:
+    """The tree's expansion rule as ``children(state, depth, is_root)``.
+
+    Built once per tree, so everything that is a pure function of
+    ``params`` is computed here rather than per node:
+
+    * **GEO**: ``log(1 - p)`` of the geometric draw, tabled by depth up
+      to the horizon (deeper nodes are leaves by construction).
+    * **BIN**: the float test ``rand31 / 2^31 < q`` as the integer test
+      ``rand31 < ceil(q * 2^31)`` (exact: scaling by a power of two
+      loses no bits), and the packed child-index suffixes of a burst
+      and of the root.
+
+    ``state`` must be a 20-byte digest and ``depth`` non-negative;
+    :func:`expand` checks both, every other caller holds them by
+    construction.
+    """
+    sha1 = _SHA1
+    if params.tree_type is TreeType.BIN:
+        threshold = math.ceil(params.q * _TWO31)
+        burst = tuple(_CHILD_PACK(i) for i in range(params.m))
+        root = tuple(_CHILD_PACK(i) for i in range(int(params.b0)))
+
+        def children(state: bytes, depth: int, is_root: bool) -> list[bytes]:
+            if is_root:
+                suffixes = root
+            elif int.from_bytes(state[:4], "big") & 0x7FFFFFFF < threshold:
+                suffixes = burst
+            else:
+                return []
+            return [sha1(state + s).digest() for s in suffixes]
+
+        return children
+
+    horizon = 5 * params.gen_mx if params.shape is GeoShape.CYCLIC else params.gen_mx
+    table = tuple(_geo_log1mp(params, d) for d in range(horizon + 1))
+    ntable = len(table)
+    log = math.log
+    pack = _CHILD_PACK
+
+    def children(state: bytes, depth: int, is_root: bool) -> list[bytes]:
+        log1mp = table[depth] if depth < ntable else 0.0
         if log1mp == 0.0:
-            return 0
-        u = to_prob(state)
-        if u >= 1.0:  # pragma: no cover - to_prob is < 1 by construction
-            u = math.nextafter(1.0, 0.0)
-        return int(math.log(1.0 - u) / log1mp)
-    # BIN
-    if is_root:
-        return int(params.b0)
-    return params.m if to_prob(state) < params.q else 0
+            return []
+        # Geometric draw with mean b (reference implementation formula);
+        # the draw is < 1 by construction, so log(1 - u) is finite.
+        u = (int.from_bytes(state[:4], "big") & 0x7FFFFFFF) / _TWO31
+        return [sha1(state + pack(i)).digest()
+                for i in range(int(log(1.0 - u) / log1mp))]
+
+    return children
 
 
 def expand(params: UtsParams, state: bytes, depth: int, is_root: bool = False) -> list[bytes]:
-    """Child states of one node."""
-    n = num_children(params, state, depth, is_root)
-    if n <= 0:
-        return []
-    # Inlined spawn() loop: num_children already drew from ``state``
-    # through the validating rand31 path, so the per-child length check
-    # is redundant here.
-    sha1 = _SHA1
-    pack = _CHILD_PACK
-    return [sha1(state + pack(i)).digest() for i in range(n)]
+    """Child states of one node (see :func:`expander`)."""
+    if len(state) != STATE_BYTES:
+        raise ValueError(f"state must be {STATE_BYTES} bytes, got {len(state)}")
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    return expander(params)(state, depth, is_root)
+
+
+def num_children(params: UtsParams, state: bytes, depth: int, is_root: bool) -> int:
+    """Deterministic child count of one node (the UTS expansion rule)."""
+    return len(expand(params, state, depth, is_root))

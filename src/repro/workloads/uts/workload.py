@@ -12,20 +12,14 @@ per child node.  Payload layout (little-endian)::
 
 from __future__ import annotations
 
-import hashlib
-import math
 import struct
 from dataclasses import dataclass
 
 from ...runtime.registry import TaskContext, TaskOutcome, TaskRegistry
 from ...runtime.task import Task, make_task
-from .sha1_rng import _TWO31
-from .tree import GeoShape, TreeType, UtsParams, _geo_log1mp, expand
+from .tree import UtsParams, expander
 
 _NODE = struct.Struct("<II20s")
-_CHILD_PACK = struct.Struct(">I").pack
-_SHA1 = hashlib.sha1
-_LOG = math.log
 
 #: Task record size used by the paper for UTS (Table 2).
 PAPER_TASK_SIZE = 48
@@ -64,17 +58,7 @@ class UtsWorkload:
         # Hot-loop hoists: _node runs once per tree node.
         self._node_time = self.params.node_time
         self._per_child = self.params.per_child_time
-        # GEO trees: the geometric draw's log(1 - p) is a pure function of
-        # depth, so table it once here instead of re-deriving (and hashing
-        # the params dataclass through an lru_cache) per node.  Depths past
-        # the table are leaves by construction.
-        if tree.tree_type is TreeType.GEO:
-            horizon = 5 * tree.gen_mx if tree.shape is GeoShape.CYCLIC else tree.gen_mx
-            self._log1mp: tuple[float, ...] | None = tuple(
-                _geo_log1mp(tree, d) for d in range(horizon + 1)
-            )
-        else:
-            self._log1mp = None
+        self._children = expander(tree)
 
     def seed_task(self) -> Task:
         """The root node's task."""
@@ -84,22 +68,7 @@ class UtsWorkload:
 
     def _node(self, payload: bytes, tc: TaskContext) -> TaskOutcome:
         depth, flags, state = _NODE.unpack(payload)
-        table = self._log1mp
-        if table is not None:
-            # Inlined GEO expansion (bit-identical to tree.num_children):
-            # the state is a fixed-width struct field, so the validating
-            # to_prob/spawn wrappers are skipped.
-            log1mp = table[depth] if depth < len(table) else 0.0
-            if log1mp == 0.0:
-                n = 0
-            else:
-                u = (int.from_bytes(state[:4], "big") & 0x7FFFFFFF) / _TWO31
-                n = int(_LOG(1.0 - u) / log1mp)
-            sha1 = _SHA1
-            cpack = _CHILD_PACK
-            children = [sha1(state + cpack(i)).digest() for i in range(n)]
-        else:
-            children = expand(self.tree, state, depth, bool(flags & _ROOT_FLAG))
+        children = self._children(state, depth, flags & _ROOT_FLAG)
         pack = _NODE.pack
         nid = self.node_id
         d1 = depth + 1

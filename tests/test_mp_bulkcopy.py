@@ -8,11 +8,13 @@ records read one word at a time.  Alongside it: codec round-trips, the
 seqlock read path, and the adaptive backoff curve.
 """
 
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mp.atomics import ShmWords, _preferred_context
+from repro.mp.atomics import WORD_BYTES, _WORD, ShmWords, _preferred_context
 from repro.mp.queue import _MpTaskBuffer
 from repro.threads.protocol import Backoff, RecordCodec
 
@@ -106,25 +108,45 @@ def _seq_writer(w: ShmWords, n: int) -> None:
     w.store(0, 1)  # done flag
 
 
-@pytest.mark.timeout(60)
-def test_load_seq_under_concurrent_writer():
-    """Seqlock reads racing a real-process writer only ever observe
-    values the writer actually published."""
+def _reader(w: ShmWords, via_ref: bool):
+    """Seqlock read of word ``i``: the segment's method, or a
+    :class:`WordRef` handle as the PE loop holds one."""
+    if not via_ref:
+        return w.load_seq
+    refs = [w.ref(i) for i in range(w.nwords)]
+    return lambda i: refs[i].load_seq()
+
+
+def _race_concurrent_writer(via_ref: bool) -> None:
     ctx = _preferred_context()
     w = ShmWords(4, ctx=ctx)
     try:
         n = 2000
+        load_seq = _reader(w, via_ref)
         p = ctx.Process(target=_seq_writer, args=(w, n), daemon=True)
         p.start()
         seen = set()
-        while not w.load_seq(0):
-            seen.add(w.load_seq(1))
+        while not load_seq(0):
+            seen.add(load_seq(1))
         p.join(timeout=30)
-        assert w.load_seq(1) == n
+        assert load_seq(1) == n
         assert all(0 <= v <= n for v in seen)
     finally:
         w.close()
         w.unlink()
+
+
+@pytest.mark.timeout(60)
+def test_load_seq_under_concurrent_writer():
+    """Seqlock reads racing a real-process writer only ever observe
+    values the writer actually published."""
+    _race_concurrent_writer(via_ref=False)
+
+
+@pytest.mark.timeout(60)
+def test_word_ref_load_seq_under_concurrent_writer():
+    """The same race read through the handle's inlined first sample."""
+    _race_concurrent_writer(via_ref=True)
 
 
 def _doomed_writer(w: ShmWords, n: int) -> None:
@@ -135,16 +157,12 @@ def _doomed_writer(w: ShmWords, n: int) -> None:
     w.die_holding(1)
 
 
-@pytest.mark.mp
-@pytest.mark.timeout(60)
-def test_load_seq_reader_survives_writer_killed_mid_store():
-    """Seqlock readers racing a writer that dies inside its critical
-    section recover once the stripe is repaired, instead of spinning on
-    the odd sequence forever."""
+def _race_doomed_writer(via_ref: bool) -> None:
     ctx = _preferred_context()
     w = ShmWords(4, ctx=ctx, lease_s=0.1, stall_s=30.0)
     try:
         n = 500
+        load_seq = _reader(w, via_ref)
         p = ctx.Process(target=_doomed_writer, args=(w, n), daemon=True)
         p.start()
         # Keep reading through the death; load_seq's stall escape must
@@ -153,12 +171,77 @@ def test_load_seq_reader_survives_writer_killed_mid_store():
         import time as _time
         deadline = _time.monotonic() + 30
         while p.is_alive() or w.holder(w._stripe(1))[0] != 0:
-            seen.add(w.load_seq(1))
+            seen.add(load_seq(1))
             assert _time.monotonic() < deadline
-        assert w.load_seq(1) == n       # every published write survived
+        assert load_seq(1) == n         # every published write survived
         assert all(0 <= v <= n for v in seen)
         assert w.repairs_total() == 1   # exactly one stripe repair
         assert 1 in w.suspect_words     # and the word was flagged
+    finally:
+        w.close()
+        w.unlink()
+
+
+@pytest.mark.mp
+@pytest.mark.timeout(60)
+def test_load_seq_reader_survives_writer_killed_mid_store():
+    """Seqlock readers racing a writer that dies inside its critical
+    section recover once the stripe is repaired, instead of spinning on
+    the odd sequence forever."""
+    _race_doomed_writer(via_ref=False)
+
+
+@pytest.mark.mp
+@pytest.mark.timeout(60)
+def test_word_ref_reader_survives_writer_killed_mid_store():
+    """The handle's inlined sample sees the odd sequence and falls
+    through to the retry and lease-repair path."""
+    _race_doomed_writer(via_ref=True)
+
+
+def test_word_ref_defers_an_odd_sequence_to_the_full_read(words, monkeypatch):
+    ref = words.ref(3)
+    words.store(3, 42)
+    calls = []
+    full = ShmWords.load_seq
+    monkeypatch.setattr(
+        ShmWords, "load_seq",
+        lambda self, i: calls.append(i) or full(self, i),
+    )
+    assert ref.load_seq() == 42
+    assert calls == []                  # clean sample: answered inline
+    soff = words._seq_base + 3 * WORD_BYTES
+    seq = _WORD.unpack_from(words._shm.buf, soff)[0]
+    _WORD.pack_into(words._shm.buf, soff, seq + 1)   # writer mid-store
+    try:
+        monkeypatch.setattr(
+            ShmWords, "load_seq", lambda self, i: calls.append(i) or -1
+        )
+        assert ref.load_seq() == -1
+        assert calls == [3]
+    finally:
+        _WORD.pack_into(words._shm.buf, soff, seq)
+
+
+def _send_back(ref, q) -> None:
+    q.put(ref.load_seq())
+
+
+@pytest.mark.mp
+@pytest.mark.timeout(60)
+def test_word_ref_reattaches_in_a_spawned_process():
+    """A handle pickled to a spawn-started child re-binds its buffer
+    there instead of carrying the parent's mapping."""
+    ctx = multiprocessing.get_context("spawn")
+    w = ShmWords(4, ctx=ctx)
+    try:
+        w.store(2, 99)
+        q = ctx.Queue()
+        p = ctx.Process(target=_send_back, args=(w.ref(2), q), daemon=True)
+        p.start()
+        assert q.get(timeout=30) == 99
+        p.join(timeout=30)
+        assert not p.is_alive()
     finally:
         w.close()
         w.unlink()

@@ -13,9 +13,13 @@ import multiprocessing
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mp import driver
 from repro.mp.driver import (
+    decode_uts,
+    encode_uts,
     run_mp,
     run_mp_serve,
     synthetic_expected,
@@ -23,11 +27,71 @@ from repro.mp.driver import (
 )
 from repro.mp.errors import MpStallError
 from repro.runtime.arrivals import serving_checksum
-from repro.workloads.uts import get_tree
+from repro.workloads.uts import expand, get_tree
 
 from .conftest import leaked_segments
 
 pytestmark = [pytest.mark.mp, pytest.mark.timeout(180)]
+
+
+# ----------------------------------------------------------------------
+# The UTS task codec
+# ----------------------------------------------------------------------
+
+def _reference_encode(state, depth, is_root):
+    """The byte-slicing codec the struct codec replaced."""
+    return (
+        int.from_bytes(state[0:8], "little"),
+        int.from_bytes(state[8:16], "little"),
+        int.from_bytes(state[16:20], "little"),
+        depth | (int(is_root) << 32),
+    )
+
+
+def _reference_decode(words):
+    w0, w1, w2, w3 = words
+    state = (
+        w0.to_bytes(8, "little")
+        + w1.to_bytes(8, "little")
+        + (w2 & 0xFFFFFFFF).to_bytes(4, "little")
+    )
+    return state, w3 & 0xFFFFFFFF, bool(w3 >> 32)
+
+
+@given(
+    state=st.binary(min_size=20, max_size=20),
+    depth=st.integers(0, (1 << 32) - 1),
+    is_root=st.booleans(),
+)
+@settings(max_examples=200)
+def test_uts_codec_round_trips_word_for_word(state, depth, is_root):
+    words = encode_uts(state, depth, is_root)
+    assert words == _reference_encode(state, depth, is_root)
+    assert decode_uts(words) == (state, depth, is_root)
+    assert decode_uts(words) == _reference_decode(words)
+
+
+@pytest.mark.parametrize("size", [0, 19, 21, 40])
+def test_encode_uts_rejects_a_state_of_the_wrong_length(size):
+    with pytest.raises(ValueError, match=f"got {size}"):
+        encode_uts(bytes(size), 1, False)
+
+
+def test_uts_execute_emits_the_encoded_children():
+    """The PE's execute step == encode_uts over expand, node by node."""
+    params = get_tree("test_small")
+    seeds, execute, _fp, _report = driver._bind_workload("uts", params)
+    stack = list(seeds)
+    nodes = 0
+    while stack:
+        words = stack.pop()
+        nodes += 1
+        state, depth, is_root = decode_uts(words)
+        kids = execute(words)
+        assert kids == [encode_uts(c, depth + 1, False)
+                        for c in expand(params, state, depth, is_root)]
+        stack.extend(kids)
+    assert nodes == uts_expected(params)[0]
 
 
 def test_synthetic_sws_four_processes_conserves():
@@ -175,3 +239,20 @@ def test_serve_rejects_bad_arguments(monkeypatch):
                    {"inbox_cap": 0}, {"capacity": 0}):
         with pytest.raises(ValueError):
             run_mp_serve("poisson:50000", 2e-3, **kwargs)
+
+
+def test_profile_tool_runs_one_pe_alone():
+    """``tools/profile_hotpath.py mp_pe``: one in-process PE, no peers,
+    executes the whole tree and agrees with the oracle."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "profile_hotpath.py"
+    spec = importlib.util.spec_from_file_location("profile_hotpath", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    params = get_tree("test_small")
+    before = leaked_segments()
+    nodes, checksum, _wall = tool._pe_alone(params)
+    assert (nodes, checksum) == uts_expected(params)
+    assert leaked_segments() == before

@@ -1,5 +1,7 @@
 """Tests for the UTS workload: RNG, trees, sequential oracle, parallel runs."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.runtime.pool import run_pool
 from repro.runtime.registry import TaskContext, TaskRegistry
 from repro.workloads.uts import (
     BENCH_BIN,
+    BENCH_GEO,
     NAMED_TREES,
     T1WL,
     TEST_SMALL,
@@ -20,6 +23,7 @@ from repro.workloads.uts import (
     branching_factor,
     enumerate_tree,
     expand,
+    expander,
     get_tree,
     num_children,
     rand31,
@@ -204,3 +208,107 @@ class TestWorkload:
         wl = UtsWorkload(reg, small_bin)
         stats = run_pool(4, reg, [wl.seed_task()], impl=impl)
         assert stats.total_tasks == oracle.nodes
+
+
+# ----------------------------------------------------------------------
+# The expander against the generic rule it replaced
+# ----------------------------------------------------------------------
+
+def _reference_num_children(p: UtsParams, state: bytes, depth: int, is_root: bool) -> int:
+    """The generic expansion rule: branching factor -> to_prob draw."""
+    if p.tree_type is TreeType.GEO:
+        b = branching_factor(p, depth)
+        if b <= 0.0:
+            return 0
+        log1mp = math.log(1.0 - 1.0 / (1.0 + b))
+        if log1mp == 0.0:
+            return 0
+        return int(math.log(1.0 - to_prob(state)) / log1mp)
+    if is_root:
+        return int(p.b0)
+    return p.m if to_prob(state) < p.q else 0
+
+
+def _reference_expand(p: UtsParams, state: bytes, depth: int, is_root: bool) -> list[bytes]:
+    return [spawn(state, i) for i in range(_reference_num_children(p, state, depth, is_root))]
+
+
+#: Whole trees compared node by node: every GEO shape and a BIN tree.
+EQUIVALENCE_TREES = {
+    "test_small": TEST_SMALL,
+    "bench_geo": BENCH_GEO,
+    "small_bin": UtsParams(tree_type=TreeType.BIN, b0=32.0, q=0.12, m=8, root_seed=7),
+    "fixed": UtsParams(b0=3.0, gen_mx=7, shape=GeoShape.FIXED),
+    "expdec": UtsParams(b0=6.0, gen_mx=8, shape=GeoShape.EXPDEC),
+    # Reaches depth 31, one past the 5 * gen_mx cut.
+    "cyclic": UtsParams(b0=4.0, gen_mx=6, shape=GeoShape.CYCLIC, root_seed=8),
+}
+
+
+class TestExpander:
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_TREES))
+    def test_matches_the_generic_rule_on_every_node(self, name):
+        p = EQUIVALENCE_TREES[name]
+        stack = [(p.root(), 0, True)]
+        nodes = 0
+        while stack:
+            state, depth, is_root = stack.pop()
+            nodes += 1
+            kids = expand(p, state, depth, is_root)
+            assert kids == _reference_expand(p, state, depth, is_root), (name, nodes)
+            assert num_children(p, state, depth, is_root) == len(kids)
+            stack.extend((c, depth + 1, False) for c in kids)
+        assert nodes > 300
+
+    @given(
+        q=st.floats(0.0, 0.125),
+        draw=st.integers(0, (1 << 31) - 1),
+        tail=st.binary(min_size=16, max_size=16),
+    )
+    @settings(max_examples=200)
+    def test_bin_integer_threshold_is_exact(self, q, draw, tail):
+        p = UtsParams(tree_type=TreeType.BIN, b0=4.0, q=q, m=8)
+        state = draw.to_bytes(4, "big") + tail
+        assert expand(p, state, 3) == _reference_expand(p, state, 3, False)
+
+    @pytest.mark.parametrize("q", [0.5, 1 / 3, 0.125, 0.124875, 0.1])
+    def test_bin_threshold_boundary(self, q):
+        # Draws straddling q * 2^31, integer (0.5, 0.125) or not.
+        p = UtsParams(tree_type=TreeType.BIN, b0=4.0, q=q, m=2)
+        edge = int(q * 2**31)
+        sizes = set()
+        for draw in range(edge - 2, edge + 3):
+            state = draw.to_bytes(4, "big") + bytes(16)
+            kids = expand(p, state, 1)
+            assert kids == _reference_expand(p, state, 1, False), draw
+            sizes.add(len(kids))
+        assert sizes == {0, 2}
+
+    def test_built_once_per_tree(self):
+        assert expander(BENCH_BIN) is expander(BENCH_BIN)
+        assert expander(TEST_SMALL) is not expander(BENCH_BIN)
+
+    def test_expand_checks_its_arguments(self):
+        with pytest.raises(ValueError, match="19"):
+            expand(TEST_TINY, bytes(19), 1)
+        with pytest.raises(ValueError, match="depth"):
+            expand(TEST_TINY, TEST_TINY.root(), -1)
+
+
+#: (nodes, checksum) of the mp oracle, measured with the generic rule.
+#: ``--verify`` compares PEs with an oracle that shares their expander,
+#: so these pins are what tie both to the rule.
+PINNED_TREES = {
+    "test_tiny": (85, 0x82FB69AB192CBA3),
+    "test_small": (3542, 0x6CA571BC26B258F5),
+    "bench_geo": (68221, 0x49A081F4C8A5AE84),
+    "sweep_geo": (185317, 0x1EFCC6F7C960FAB6),
+    "bench_bin": (147321, 0xBE1317B755E480F5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TREES))
+def test_oracle_pins_named_trees(name):
+    from repro.mp.driver import uts_expected
+
+    assert uts_expected(get_tree(name)) == PINNED_TREES[name]
